@@ -29,7 +29,7 @@ from .formats import (
     parse_gf2,
     parse_rg,
 )
-from .gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric, is_binary
+from .gf2 import BINARY_MAX_N, Gf2SymmetricMatrix, delta_matroid_from_symmetric, is_binary
 from .matroid import Matroid, MatroidError, classify_delta, lower_matroid
 from .ribbon import RibbonGraph
 
@@ -61,12 +61,22 @@ def _load_system(path: str):
         raise CliError("%s: %s" % (path, exc)) from None
 
 
-def _load_delta(path: str) -> DeltaMatroid:
-    dm = _load_system(path)
+def _validate_delta(path: str, system: SetSystem) -> DeltaMatroid:
     try:
-        return validate_delta_matroid(dm.system)
+        return validate_delta_matroid(system)
     except ValueError as exc:
         raise CliError("%s: %s" % (path, exc)) from None
+
+
+def _load_delta(path: str) -> DeltaMatroid:
+    return _validate_delta(path, _load_system(path).system)
+
+
+def _check_classify_size(path: str, n: int) -> None:
+    if n > BINARY_MAX_N:
+        raise CliError(
+            "%s: classification is limited to ground size %d, got %d" % (path, BINARY_MAX_N, n)
+        )
 
 
 def _parse_set(system: SetSystem, spec: Optional[str]) -> Mask:
@@ -194,11 +204,14 @@ def cmd_classify(args) -> int:
     path = args.file
     suffix = Path(path).suffix
     if suffix == ".dm":
-        d = _load_delta(path)
+        system = _load_system(path).system
+        _check_classify_size(path, system.ground.size)
+        d = _validate_delta(path, system)
     elif suffix == ".gf2":
         matrix = _parse_gf2_path(path)
         if not isinstance(matrix, Gf2SymmetricMatrix):
             raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
+        _check_classify_size(path, matrix.order)
         d = delta_matroid_from_symmetric(matrix)
     else:
         raise CliError("%s: classification accepts .dm and .gf2 files" % path)
@@ -218,6 +231,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 0:
+        raise CliError("--max-n must be at least 0, got %d" % args.max_n)
+    if args.shards < 1:
+        raise CliError("--shards must be at least 1, got %d" % args.shards)
     names = None if args.suite == "all" else [args.suite]
     try:
         reports = verify.run_suite(names, max_n=args.max_n, seed=args.seed, shards=args.shards)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Mask = int
@@ -56,6 +56,47 @@ def mask_of(indices: Iterable[int]) -> Mask:
 def family_sort_key(mask: Mask) -> tuple[int, tuple[int, ...]]:
     """Canonical order of subsets: cardinality, then lexicographic on indices."""
     return (mask.bit_count(), indices_of(mask))
+
+
+# Ground sizes up to this bound (the binarity test's limit) get a rank table;
+# at n = 12 the table is 4096 entries, so all of them stay a few hundred KB.
+RANK_TABLE_MAX_N = 12
+
+
+@lru_cache(maxsize=None)
+def canonical_table(n: int) -> tuple[tuple[Mask, ...], tuple[int, ...]]:
+    """All 2^n masks in canonical order, and the position of each mask in it.
+
+    Built on first use for each n <= RANK_TABLE_MAX_N; family_sort_key stays
+    the reference order and the key used above that bound.
+    """
+    if not 0 <= n <= RANK_TABLE_MAX_N:
+        raise ValueError("rank tables are limited to ground size %d" % RANK_TABLE_MAX_N)
+    # both tables hold the same int objects, which halves their memory
+    ints = list(range(1 << n))
+    order = sorted(ints, key=family_sort_key)
+    rank = [0] * len(ints)
+    for pos, m in enumerate(order):
+        rank[m] = ints[pos]
+    return tuple(order), tuple(rank)
+
+
+def canonical_masks(n: int) -> Iterable[Mask]:
+    """Every subset of an n-element ground set, in canonical order."""
+    if n <= RANK_TABLE_MAX_N:
+        return canonical_table(n)[0]
+    return (
+        mask_of(combo)
+        for k in range(n + 1)
+        for combo in itertools.combinations(range(n), k)
+    )
+
+
+def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:
+    """Masks of subsets of an n-element ground set, sorted canonically."""
+    if n <= RANK_TABLE_MAX_N:
+        return sorted(masks, key=canonical_table(n)[1].__getitem__)
+    return sorted(masks, key=family_sort_key)
 
 
 def apply_permutation(mask: Mask, perm: Sequence[int]) -> Mask:
@@ -125,14 +166,16 @@ class SetSystem:
     family: tuple[Mask, ...]
 
     def __post_init__(self):
-        limit = 1 << self.ground.size
-        fam = sorted(set(self.family), key=family_sort_key)
-        for m in fam:
-            if not 0 <= m < limit:
+        n = self.ground.size
+        fam = set(self.family)
+        if fam:
+            # range check first: the rank table is indexed by mask
+            lo, hi = min(fam), max(fam)
+            if lo < 0 or hi >> n:
                 raise ValueError(
-                    "subset mask %#x out of range for ground size %d" % (m, self.ground.size)
+                    "subset mask %#x out of range for ground size %d" % (lo if lo < 0 else hi, n)
                 )
-        object.__setattr__(self, "family", tuple(fam))
+        object.__setattr__(self, "family", tuple(canonical_sorted(fam, n)))
 
     @classmethod
     def from_sets(cls, labels: Iterable[str], sets: Iterable[Iterable[str]]) -> "SetSystem":

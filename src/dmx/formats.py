@@ -76,16 +76,21 @@ def parse_dm(text: str) -> DmFile:
                 raise ParseError("feasible line before ground line", lineno, 1)
             if not (value.startswith("{") and value.endswith("}")):
                 raise ParseError("feasible set must be brace-delimited", lineno, raw.index(value) + 1)
-            inner = value[1:-1].strip()
-            labels = [] if not inner else [tok.strip() for tok in inner.split(",")]
+            body = value[1:-1]
             seen = set()
-            for lab in labels:
-                if not lab or lab not in ground.labels:
-                    raise ParseError("unknown label %r" % lab, lineno, raw.find(lab) + 1 if lab else 1)
-                if lab in seen:
-                    raise ParseError("repeated label %r in feasible set" % lab, lineno, raw.find(lab) + 1)
-                seen.add(lab)
-            masks.append(ground.mask(labels))
+            if body.strip():
+                # 1-based column of each token, counted from the opening brace
+                col = raw.index(value) + 2
+                for piece in body.split(","):
+                    lab = piece.strip()
+                    at = col + piece.index(lab)
+                    col += len(piece) + 1
+                    if not lab or lab not in ground.labels:
+                        raise ParseError("unknown label %r" % lab, lineno, at)
+                    if lab in seen:
+                        raise ParseError("repeated label %r in feasible set" % lab, lineno, at)
+                    seen.add(lab)
+            masks.append(ground.mask(seen))
         else:
             raise ParseError("unknown key %r" % key, lineno, 1)
     if ground is None:

@@ -12,11 +12,14 @@ from .core import (
     GroundSet,
     Mask,
     apply_permutation,
-    family_sort_key,
+    canonical_masks,
     indices_of,
     numbered_ground,
 )
 from .matroid import Matroid
+
+# Largest ground size the binary-representability decision accepts.
+BINARY_MAX_N = 12
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
@@ -57,20 +60,13 @@ class Gf2SymmetricMatrix:
         return (self.rows[i] >> j) & 1
 
     def principal_nonsingular(self, x: Mask) -> bool:
-        """Full rank of the principal submatrix A[x]; A[empty] counts as nonsingular."""
-        idx = indices_of(x)
-        k = len(idx)
-        if k == 0:
-            return True
-        sub = []
-        for i in idx:
-            row = self.rows[i]
-            sub.append(sum(((row >> j) & 1) << pos for pos, j in enumerate(idx)))
-        return gf2_rank(sub) == k
+        """Full rank of the principal submatrix A[x]; A[empty] counts as nonsingular.
 
-
-def principal_nonsingular(a: Gf2SymmetricMatrix, x: Mask) -> bool:
-    return a.principal_nonsingular(x)
+        Masking row i by x keeps exactly the entries of A[x] in that row, so
+        the masked rows have the rank of A[x] without compacting columns.
+        """
+        rows = self.rows
+        return gf2_rank(rows[i] & x for i in indices_of(x)) == x.bit_count()
 
 
 def delta_matroid_from_symmetric(
@@ -168,7 +164,7 @@ def _representation_mismatch(
     cand = reconstruct_candidate(normal)
     mem = normal.members
     n = normal.ground.size
-    for x in sorted(range(1 << n), key=family_sort_key):
+    for x in canonical_masks(n):
         if cand.principal_nonsingular(x) != (x in mem):
             return cand, x
     return cand, None
@@ -184,8 +180,8 @@ def is_binary(d: DeltaMatroid, exhaustive: bool = False) -> BinaryCertificate:
     size-<=2 feasible sets.  The exhaustive flag cross-validates this
     shortcut by searching all feasible twists and all ground relabelings.
     """
-    if d.ground.size > 12:
-        raise ValueError("binarity test is limited to ground size 12")
+    if d.ground.size > BINARY_MAX_N:
+        raise ValueError("binarity test is limited to ground size %d" % BINARY_MAX_N)
     f0 = d.family[0]
     normal = d.twist(f0)
     cand, bad = _representation_mismatch(normal)

@@ -1,12 +1,17 @@
 """Matroids as equicardinal delta-matroids: circuits, duals, rank, and the
 Eulerian/bipartite classification (lifted to delta-matroids through the lower
-matroid)."""
+matroid).
+
+Circuits, the first odd circuit and the Eulerian partition depend only on the
+ground size and the canonical base tuple, so they are computed once per
+(n, bases) key in a bounded module-level cache, whatever the labels.
+"""
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .core import (
@@ -14,9 +19,13 @@ from .core import (
     ImproperSystemError,
     Mask,
     SetSystem,
+    canonical_masks,
     exchange_violation_masks,
-    mask_of,
 )
+
+# Distinct matroids kept by the classification cache; a verify run at
+# --max-n 5 meets under 500 of them.
+CLASSIFICATION_CACHE_SIZE = 2048
 
 
 class MatroidError(ValueError):
@@ -33,8 +42,8 @@ class Matroid(DeltaMatroid):
 
     def __post_init__(self):
         super().__post_init__()
-        r = self.family[0].bit_count()
-        if any(m.bit_count() != r for m in self.family):
+        # the canonical order sorts by cardinality first
+        if self.family[0].bit_count() != self.family[-1].bit_count():
             raise MatroidError("bases must be equicardinal")
 
     @property
@@ -70,38 +79,15 @@ class Matroid(DeltaMatroid):
     @cached_property
     def independent_sets(self) -> frozenset[Mask]:
         """All subsets of bases."""
-        ind: set[Mask] = set()
-        for b in self.family:
-            s = b
-            while True:
-                ind.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & b
-        return frozenset(ind)
+        return frozenset(_independent_sets(self.family))
 
     def count_independent_sets(self) -> int:
         return len(self.independent_sets)
 
     @cached_property
     def circuits(self) -> tuple[Mask, ...]:
-        """Inclusion-minimal dependent sets, in canonical order.
-
-        Powerset scan in increasing cardinality with superset pruning; fine
-        for the ground sizes this library targets.
-        """
-        n = self.ground.size
-        ind = self.independent_sets
-        found: list[Mask] = []
-        for k in range(1, n + 1):
-            for combo in itertools.combinations(range(n), k):
-                m = mask_of(combo)
-                if m in ind:
-                    continue
-                if any(c & m == c for c in found):
-                    continue
-                found.append(m)
-        return tuple(found)
+        """Inclusion-minimal dependent sets, in canonical order."""
+        return _classification(self.ground.size, self.family).circuits
 
     def dual(self) -> "Matroid":
         """Bases are the complements of bases; coincides with the twist by E."""
@@ -114,10 +100,8 @@ class Matroid(DeltaMatroid):
     # -- Eulerian / bipartite --------------------------------------------------
 
     def odd_circuit(self) -> Optional[Mask]:
-        for c in self.circuits:
-            if c.bit_count() & 1:
-                return c
-        return None
+        """The first circuit of odd cardinality in canonical order, or None."""
+        return classify_matroid(self).odd_circuit_witness
 
     def is_bipartite(self) -> bool:
         """Every circuit has even cardinality (vacuously true without circuits)."""
@@ -126,28 +110,44 @@ class Matroid(DeltaMatroid):
     def eulerian_partition(self) -> Optional[tuple[Mask, ...]]:
         """A partition of the ground set into disjoint circuits, or None.
 
-        Exact-cover backtracking on the lowest uncovered element; the empty
-        ground set is covered by the empty partition.
+        The empty ground set is covered by the empty partition.
         """
-        circ = self.circuits
-
-        def bt(uncovered: Mask, acc: list[Mask]) -> Optional[tuple[Mask, ...]]:
-            if not uncovered:
-                return tuple(acc)
-            low = uncovered & -uncovered
-            for c in circ:
-                if c & low and not c & ~uncovered:
-                    acc.append(c)
-                    got = bt(uncovered ^ c, acc)
-                    if got is not None:
-                        return got
-                    acc.pop()
-            return None
-
-        return bt(self.ground.full_mask, [])
+        return classify_matroid(self).eulerian_partition
 
     def is_eulerian(self) -> bool:
         return self.eulerian_partition() is not None
+
+
+def _independent_sets(bases: tuple[Mask, ...]) -> set[Mask]:
+    ind: set[Mask] = set()
+    for b in bases:
+        s = b
+        while True:
+            ind.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & b
+    return ind
+
+
+def _exact_cover(full: Mask, circuits: tuple[Mask, ...]) -> Optional[tuple[Mask, ...]]:
+    """Backtracking on the lowest uncovered element; circuits are tried in
+    canonical order, so the first partition found is deterministic."""
+
+    def bt(uncovered: Mask, acc: list[Mask]) -> Optional[tuple[Mask, ...]]:
+        if not uncovered:
+            return tuple(acc)
+        low = uncovered & -uncovered
+        for c in circuits:
+            if c & low and not c & ~uncovered:
+                acc.append(c)
+                got = bt(uncovered ^ c, acc)
+                if got is not None:
+                    return got
+                acc.pop()
+        return None
+
+    return bt(full, [])
 
 
 @dataclass(frozen=True)
@@ -158,32 +158,71 @@ class ClassificationReport:
     odd_circuit_witness: Optional[Mask]
 
 
+@dataclass(frozen=True)
+class _Classification:
+    circuits: tuple[Mask, ...]
+    report: ClassificationReport
+
+
+@lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
+def _classification(n: int, bases: tuple[Mask, ...]) -> _Classification:
+    """Circuits, first odd circuit and Eulerian partition of the matroid on
+    n elements with the given canonical bases.
+
+    A dependent set is a circuit iff removing any one element leaves it
+    independent, so one scan of the subsets in canonical order finds the
+    circuits in canonical order.
+    """
+    ind = _independent_sets(bases)
+    circuits = []
+    for m in canonical_masks(n):
+        if m in ind:
+            continue
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low not in ind:
+                break
+            rest ^= low
+        else:
+            circuits.append(m)
+    circ = tuple(circuits)
+    odd = next((c for c in circ if c.bit_count() & 1), None)
+    partition = _exact_cover((1 << n) - 1, circ)
+    return _Classification(
+        circ, ClassificationReport(odd is None, partition is not None, partition, odd)
+    )
+
+
 def classify_matroid(m: Matroid) -> ClassificationReport:
-    witness = m.odd_circuit()
-    partition = m.eulerian_partition()
-    return ClassificationReport(witness is None, partition is not None, partition, witness)
+    return _classification(m.ground.size, m.family).report
+
+
+def _lower_bases(d: DeltaMatroid) -> tuple[Mask, ...]:
+    """The minimum-cardinality prefix of the canonical family."""
+    fam = d.family
+    return fam[: bisect_right(fam, fam[0].bit_count(), key=int.bit_count)]
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the minimum-cardinality feasible sets."""
-    k = d.family[0].bit_count()
-    return Matroid(d.ground, tuple(m for m in d.family if m.bit_count() == k))
+    return Matroid(d.ground, _lower_bases(d))
 
 
 def upper_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the maximum-cardinality feasible sets."""
-    k = d.family[-1].bit_count()
-    return Matroid(d.ground, tuple(m for m in d.family if m.bit_count() == k))
+    fam = d.family
+    return Matroid(d.ground, fam[bisect_left(fam, fam[-1].bit_count(), key=int.bit_count) :])
 
 
 def classify_delta(d: DeltaMatroid) -> ClassificationReport:
     """A delta-matroid is bipartite/Eulerian when its lower matroid is."""
-    return classify_matroid(lower_matroid(d))
+    return _classification(d.ground.size, _lower_bases(d)).report
 
 
 def is_bipartite_delta(d: DeltaMatroid) -> bool:
-    return lower_matroid(d).is_bipartite()
+    return classify_delta(d).bipartite
 
 
 def is_eulerian_delta(d: DeltaMatroid) -> bool:
-    return lower_matroid(d).is_eulerian()
+    return classify_delta(d).eulerian

@@ -68,7 +68,8 @@ class VerificationReport:
 
     @property
     def verdict(self) -> bool:
-        if self.counterexamples:
+        """Pass needs at least one tested instance: a vacuous check fails."""
+        if self.counterexamples or not self.tested:
             return False
         return not self.requires_witness or self.witness_found
 
@@ -810,6 +811,8 @@ def run_suite(
     seed: int = 0,
     shards: int = 1,
 ) -> list[VerificationReport]:
+    if shards < 1:
+        raise ValueError("shards must be at least 1, got %d" % shards)
     chosen = list(SUITE) if not names or list(names) == ["all"] else list(names)
     for name in chosen:
         if name not in SUITE:

@@ -144,6 +144,18 @@ def test_classify_gf2(files):
     assert code == 0 and "even: yes" in out
 
 
+def test_classify_rejects_ground_beyond_limit(tmp_path):
+    big_dm = tmp_path / "big.dm"
+    big_dm.write_text("ground: %s\nfeasible: {}\n" % " ".join(str(i) for i in range(1, 14)))
+    big_gf2 = tmp_path / "big.gf2"
+    big_gf2.write_text("gf2sym 13\n" + ("0" * 13 + "\n") * 13)
+    for path in (big_dm, big_gf2):
+        code, out, err = run("classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "limited to ground size 12" in err
+        assert "Traceback" not in err
+
+
 def test_enumerate(files):
     code, out, _ = run("enumerate", "--n", "2")
     assert code == 0
@@ -173,6 +185,18 @@ def test_verify_records_format():
 def test_verify_unknown_suite():
     code, _, err = run("verify", "--suite", "bogus")
     assert code == 2 and "unknown suite" in err
+
+
+def test_verify_rejects_nonpositive_shards():
+    code, out, err = run("verify", "--suite", "lower_bound", "--shards", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--shards" in err
+
+
+def test_verify_rejects_negative_max_n():
+    code, out, err = run("verify", "--suite", "lower_bound", "--max-n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--max-n" in err
 
 
 def test_verify_seed_env(monkeypatch):

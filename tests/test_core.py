@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from dmx.core import (
+    RANK_TABLE_MAX_N,
     DeltaMatroid,
     GroundSet,
     ImproperSystemError,
     SetSystem,
     SymmetricExchangeError,
+    canonical_masks,
+    canonical_table,
     exchange_violation,
     exchange_violation_masks,
     family_sort_key,
@@ -45,6 +50,38 @@ def test_family_canonicalization():
 def test_out_of_range_mask_rejected():
     with pytest.raises(ValueError):
         SetSystem(numbered_ground(1), (0b10,))
+    with pytest.raises(ValueError):
+        SetSystem(numbered_ground(2), (0b01, -1))
+
+
+def test_rank_table_matches_reference_key():
+    for n in range(RANK_TABLE_MAX_N + 1):
+        order, rank = canonical_table(n)
+        assert list(order) == sorted(range(1 << n), key=family_sort_key)
+        assert [rank[m] for m in order] == list(range(1 << n))
+        assert canonical_masks(n) is order
+    with pytest.raises(ValueError):
+        canonical_table(RANK_TABLE_MAX_N + 1)
+
+
+def test_canonical_order_beyond_rank_table():
+    for n in (RANK_TABLE_MAX_N + 1, RANK_TABLE_MAX_N + 2):
+        assert list(canonical_masks(n)) == sorted(range(1 << n), key=family_sort_key)
+    rng = random.Random("dmx-canonical-order")
+    for n in range(RANK_TABLE_MAX_N + 1, 21):
+        for _ in range(5):
+            fam = [rng.randrange(1 << n) for _ in range(rng.randint(1, 300))]
+            s = SetSystem(numbered_ground(n), tuple(fam))
+            assert list(s.family) == sorted(set(fam), key=family_sort_key)
+
+
+def test_seeded_families_sort_like_reference_key():
+    rng = random.Random("dmx-canonical-table")
+    for n in range(RANK_TABLE_MAX_N + 1):
+        for _ in range(20):
+            fam = [rng.randrange(1 << n) for _ in range(rng.randint(1, 64))]
+            s = SetSystem(numbered_ground(n), tuple(fam))
+            assert list(s.family) == sorted(set(fam), key=family_sort_key)
 
 
 def test_equality_ignores_concrete_class():

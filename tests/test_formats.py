@@ -60,6 +60,21 @@ def test_dm_parse_errors_carry_location():
         parse_dm("color: red\n")
 
 
+def test_dm_label_columns_point_into_the_set():
+    # "e" also occurs in the key "feasible"; the column is the one in braces
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: a b\nfeasible: {e}\n")
+    assert (e.value.line, e.value.column) == (2, 12)
+    # an unknown label that is a prefix of an earlier, known one
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: 12 2\nfeasible: {12, 1}\n")
+    assert e.value.column == 16
+    # a repeat is reported where it repeats
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: 1 2\nfeasible: {1, 1}\n")
+    assert "repeated" in str(e.value) and e.value.column == 15
+
+
 def test_parse_gf2_symmetric():
     m = parse_gf2("gf2sym 2\n01\n10\n")
     assert isinstance(m, Gf2SymmetricMatrix)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmx.core import DeltaMatroid, numbered_ground
+from dmx.core import DeltaMatroid, family_sort_key, numbered_ground
 from dmx.gf2 import (
     Gf2Matrix,
     Gf2SymmetricMatrix,
@@ -47,6 +47,17 @@ def test_principal_nonsingular():
     assert a.principal_nonsingular(0)  # empty submatrix
     assert not a.principal_nonsingular(0b01)  # [0] singular
     assert a.principal_nonsingular(0b11)
+
+
+def test_principal_nonsingular_matches_compacted_submatrix():
+    from dmx.core import indices_of
+    from dmx.verify import all_symmetric_matrices
+
+    for a in all_symmetric_matrices(4):
+        for x in range(16):
+            idx = indices_of(x)
+            sub = [sum(a.entry(i, j) << pos for pos, j in enumerate(idx)) for i in idx]
+            assert a.principal_nonsingular(x) == (gf2_rank(sub) == len(idx)), (a, x)
 
 
 def test_delta_matroid_from_symmetric():
@@ -122,3 +133,23 @@ def test_shortcut_matches_exhaustive_search():
 
     for d in delta_matroids_up_to(3):
         assert is_binary(d).verdict == (_exhaustive_search(d) is not None)
+
+
+def test_failure_witness_is_first_mismatch_in_reference_order():
+    from dmx.verify import delta_matroids_up_to
+
+    for d in delta_matroids_up_to(4):
+        cert = is_binary(d)
+        normal = d.twist(cert.twist_set)
+        cand = reconstruct_candidate(normal)
+        n = d.ground.size
+        expected = next(
+            (
+                x
+                for x in sorted(range(1 << n), key=family_sort_key)
+                if cand.principal_nonsingular(x) != (x in normal.members)
+            ),
+            None,
+        )
+        assert cert.failure_witness == expected, d
+        assert cert.verdict == (expected is None)

@@ -128,3 +128,83 @@ def test_matroid_minors_stay_matroids():
     assert isinstance(m.contract(3), Matroid)
     assert m.minor(delete=0b0011).rank == 2
     assert m.minor(contract=0b0011).rank == 0
+
+
+# -- differential tests: the classification cache against a brute-force
+# powerset-scan reference ----------------------------------------------------
+
+
+def reference_circuits(n, bases):
+    """Subsets in increasing cardinality, skipping independent sets and
+    supersets of circuits already found."""
+    ind = {s for b in bases for s in range(1 << n) if not s & ~b}
+    found = []
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            m = sum(1 << i for i in combo)
+            if m in ind or any(c & m == c for c in found):
+                continue
+            found.append(m)
+    return tuple(found)
+
+
+def reference_odd_circuit(circuits):
+    return next((c for c in circuits if c.bit_count() & 1), None)
+
+
+def reference_eulerian_partition(n, circuits):
+    """Exact cover of the ground set by disjoint circuits, branching on the
+    lowest uncovered element."""
+
+    def bt(uncovered, acc):
+        if not uncovered:
+            return tuple(acc)
+        low = uncovered & -uncovered
+        for c in circuits:
+            if c & low and not c & ~uncovered:
+                got = bt(uncovered ^ c, acc + [c])
+                if got is not None:
+                    return got
+        return None
+
+    return bt((1 << n) - 1, [])
+
+
+def classification_corpus():
+    from dmx.verify import binary_matroids_up_to, delta_matroids_up_to
+
+    yield from binary_matroids_up_to(5)
+    for d in delta_matroids_up_to(4):
+        yield lower_matroid(d)
+
+
+def test_cached_classification_matches_reference():
+    for m in classification_corpus():
+        n = m.ground.size
+        circ = reference_circuits(n, m.bases)
+        odd = reference_odd_circuit(circ)
+        partition = reference_eulerian_partition(n, circ)
+        assert m.circuits == circ, m
+        assert m.odd_circuit() == odd, m
+        assert m.eulerian_partition() == partition, m
+        assert m.is_bipartite() == (odd is None)
+        assert m.is_eulerian() == (partition is not None)
+        rep = classify_matroid(m)
+        assert (rep.odd_circuit_witness, rep.eulerian_partition) == (odd, partition)
+
+
+def test_delta_classification_matches_lower_matroid():
+    from dmx.verify import delta_matroids_up_to
+
+    for d in delta_matroids_up_to(4):
+        low = lower_matroid(d)
+        assert is_bipartite_delta(d) == low.is_bipartite(), d
+        assert is_eulerian_delta(d) == low.is_eulerian(), d
+        assert classify_delta(d) == classify_matroid(low), d
+
+
+def test_classification_ignores_labels():
+    a = matroid("123", ["12", "13"])
+    b = matroid("xyz", ["xy", "xz"])
+    assert a.circuits == b.circuits == (0b110,)
+    assert classify_matroid(a) == classify_matroid(b)

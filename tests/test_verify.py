@@ -119,6 +119,8 @@ def test_verdict_logic():
     assert found.verdict
     failed = VerificationReport("x", 1, (Counterexample(0, "z"),), False, False, 0.0)
     assert not failed.verdict
+    vacuous = VerificationReport("x", 0, (), False, False, 0.0)
+    assert not vacuous.verdict
 
 
 def test_render_formats():
@@ -149,9 +151,27 @@ def test_sharded_run_matches_unsharded():
         )
 
 
+def test_shard_count_does_not_change_text_report():
+    one = run_suite(max_n=4, seed=0, shards=1)
+    three = run_suite(max_n=4, seed=0, shards=3)
+    assert [render_text(r) for r in one] == [render_text(r) for r in three]
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(KeyError):
         run_suite(["no_such_check"])
+
+
+def test_run_suite_rejects_nonpositive_shards():
+    with pytest.raises(ValueError, match="shards must be at least 1"):
+        run_suite(["lower_bound"], shards=0)
+
+
+def test_vacuous_check_does_not_pass():
+    (report,) = run_suite(["lower_bound"], max_n=-1)
+    assert report.tested == 0
+    assert not report.verdict
+    assert "verdict: fail" in render_text(report)
 
 
 def test_enumerate_exhaustive():
