@@ -31,7 +31,6 @@ from .formats import (
 )
 from .gf2 import BINARY_MAX_N, Gf2SymmetricMatrix, delta_matroid_from_symmetric, is_binary
 from .matroid import Matroid, MatroidError, classify_delta, lower_matroid
-from .ribbon import RibbonGraph
 
 
 class CliError(Exception):
@@ -53,10 +52,10 @@ def _read_file(path: str) -> str:
         raise CliError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
 
 
-def _load_system(path: str):
-    """Parse a .dm file, reporting diagnostics with the file path."""
+def _parse_path(parse, path: str):
+    """Read and parse a file, reporting parse diagnostics with the file path."""
     try:
-        return parse_dm(_read_file(path))
+        return parse(_read_file(path))
     except ParseError as exc:
         raise CliError("%s: %s" % (path, exc)) from None
 
@@ -69,7 +68,7 @@ def _validate_delta(path: str, system: SetSystem) -> DeltaMatroid:
 
 
 def _load_delta(path: str) -> DeltaMatroid:
-    return _validate_delta(path, _load_system(path).system)
+    return _validate_delta(path, _parse_path(parse_dm, path).system)
 
 
 def _check_classify_size(path: str, n: int) -> None:
@@ -98,7 +97,7 @@ def cmd_check(args) -> int:
     path = args.file
     suffix = Path(path).suffix
     if suffix == ".dm":
-        dm = _load_system(path)
+        dm = _parse_path(parse_dm, path)
         print("kind: %s" % dm.kind)
         print("ground: %s" % " ".join(dm.system.ground.labels))
         print("feasible-sets: %d" % len(dm.system.family))
@@ -114,7 +113,7 @@ def cmd_check(args) -> int:
             print("valid: yes")
         return 0
     if suffix == ".gf2":
-        matrix = _parse_gf2_path(path)
+        matrix = _parse_path(parse_gf2, path)
         if isinstance(matrix, Gf2SymmetricMatrix):
             print("kind: gf2sym")
             print("order: %d" % matrix.order)
@@ -124,27 +123,13 @@ def cmd_check(args) -> int:
         print("valid: yes")
         return 0
     if suffix == ".rg":
-        graph = _parse_rg_path(path)
+        graph = _parse_path(parse_rg, path)
         print("kind: ribbon")
         print("vertices: %d" % len(graph.vertices))
         print("edges: %d" % len(graph.edges))
         print("valid: yes")
         return 0
     raise CliError("%s: unknown file extension %r (expected .dm, .gf2 or .rg)" % (path, suffix))
-
-
-def _parse_gf2_path(path: str):
-    try:
-        return parse_gf2(_read_file(path))
-    except ParseError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
-
-
-def _parse_rg_path(path: str) -> RibbonGraph:
-    try:
-        return parse_rg(_read_file(path))
-    except ParseError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
 
 
 def cmd_op(args) -> int:
@@ -204,11 +189,11 @@ def cmd_classify(args) -> int:
     path = args.file
     suffix = Path(path).suffix
     if suffix == ".dm":
-        system = _load_system(path).system
+        system = _parse_path(parse_dm, path).system
         _check_classify_size(path, system.ground.size)
         d = _validate_delta(path, system)
     elif suffix == ".gf2":
-        matrix = _parse_gf2_path(path)
+        matrix = _parse_path(parse_gf2, path)
         if not isinstance(matrix, Gf2SymmetricMatrix):
             raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
         _check_classify_size(path, matrix.order)
@@ -251,7 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ribbon(args) -> int:
-    graph = _parse_rg_path(args.file)
+    graph = _parse_path(parse_rg, args.file)
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))
         print("orientable: %s" % ("yes" if graph.is_orientable() else "no"))

@@ -170,15 +170,16 @@ def _representation_mismatch(
     return cand, None
 
 
-def is_binary(d: DeltaMatroid, exhaustive: bool = False) -> BinaryCertificate:
+def is_binary(d: DeltaMatroid) -> BinaryCertificate:
     """Decide whether some twist of d is isomorphic to D(A) for symmetric A.
 
     Twisting by the canonical minimum feasible set suffices: if any twist of
     d is isomorphic to some D(A), then every normal twist of d carries a
     strong representation (representability transfers between normal twists),
     and the representing matrix of a normal delta-matroid is forced by its
-    size-<=2 feasible sets.  The exhaustive flag cross-validates this
-    shortcut by searching all feasible twists and all ground relabelings.
+    size-<=2 feasible sets.  The reference `_exhaustive_search`, which tries
+    all feasible twists and all ground relabelings, cross-validates this
+    shortcut in the tests.
     """
     if d.ground.size > BINARY_MAX_N:
         raise ValueError("binarity test is limited to ground size %d" % BINARY_MAX_N)
@@ -187,10 +188,6 @@ def is_binary(d: DeltaMatroid, exhaustive: bool = False) -> BinaryCertificate:
     cand, bad = _representation_mismatch(normal)
     if bad is None:
         return BinaryCertificate(True, f0, cand, None)
-    if exhaustive:
-        hit = _exhaustive_search(d)
-        if hit is not None:
-            return hit
     return BinaryCertificate(False, f0, None, bad)
 
 

@@ -140,23 +140,39 @@ class RibbonGraph:
 
     # -- derived structures -----------------------------------------------------
 
-    def is_connected(self) -> bool:
-        if len(self.vertices) <= 1:
-            return True
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
+    def _signed_components(self, negative: Mask) -> tuple[int, bool]:
+        """Components of the underlying graph with the edges in `negative`
+        signed negative, and whether the signed graph is balanced: every
+        cycle, a loop included, has an even number of negative edges."""
         v_of = self._vertex_of
-        for e in self.edges:
+        incident: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for i, e in enumerate(self.edges):
             u, v = v_of[e.ends[0]], v_of[e.ends[1]]
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+            sign = (negative >> i) & 1
+            incident[u].append((v, sign))
+            incident[v].append((u, sign))
+        side: dict[int, int] = {}
+        components = 0
+        balanced = True
+        for root in range(len(self.vertices)):
+            if root in side:
+                continue
+            components += 1
+            side[root] = 0
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v, sign in incident[u]:
+                    want = side[u] ^ sign
+                    if v not in side:
+                        side[v] = want
+                        stack.append(v)
+                    elif side[v] != want:
+                        balanced = False
+        return components, balanced
+
+    def is_connected(self) -> bool:
+        return self._signed_components(0)[0] <= 1
 
     def delta_matroid(self) -> DeltaMatroid:
         """Feasible sets are the quasi-trees: spanning ribbon subgraphs with a
@@ -181,62 +197,15 @@ class RibbonGraph:
         return RibbonGraph(self.vertices, edges)
 
     def is_orientable(self) -> bool:
-        """No cycle of the edge-signed underlying graph is unbalanced, i.e.
-        the twist assignment is switching-equivalent to all-untwisted."""
-        v_of = self._vertex_of
-        incident: dict[int, list[tuple[int, bool]]] = {
-            i: [] for i in range(len(self.vertices))
-        }
-        for e in self.edges:
-            u, v = v_of[e.ends[0]], v_of[e.ends[1]]
-            if u == v:
-                if e.twisted:
-                    return False
-                continue
-            incident[u].append((v, e.twisted))
-            incident[v].append((u, e.twisted))
-        flip: dict[int, bool] = {}
-        for root in range(len(self.vertices)):
-            if root in flip:
-                continue
-            flip[root] = False
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v, twisted in incident[u]:
-                    want = flip[u] ^ twisted
-                    if v not in flip:
-                        flip[v] = want
-                        stack.append(v)
-                    elif flip[v] != want:
-                        return False
-        return True
+        """The twist signs form a balanced signed graph, i.e. they are
+        switching-equivalent to all-untwisted."""
+        twisted = sum(1 << i for i, e in enumerate(self.edges) if e.twisted)
+        return self._signed_components(twisted)[1]
 
     def underlying_bipartite(self) -> bool:
-        """2-colorability of the underlying multigraph; a loop is an odd cycle."""
-        v_of = self._vertex_of
-        incident: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
-        for e in self.edges:
-            u, v = v_of[e.ends[0]], v_of[e.ends[1]]
-            if u == v:
-                return False
-            incident[u].append(v)
-            incident[v].append(u)
-        color: dict[int, int] = {}
-        for root in range(len(self.vertices)):
-            if root in color:
-                continue
-            color[root] = 0
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in incident[u]:
-                    if v not in color:
-                        color[v] = color[u] ^ 1
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        return False
-        return True
+        """2-colorability of the underlying multigraph: balance with every
+        edge negative, so a loop is an odd cycle."""
+        return self._signed_components(self.full_mask)[1]
 
     def underlying_eulerian(self) -> bool:
         """All vertex degrees even; loops count twice, connectivity not required."""

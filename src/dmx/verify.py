@@ -1,6 +1,9 @@
 """Verification harness: instance generators, one check per classification
 result, and reproducible counterexample reports.
 
+Every check is a `Check` record in the `SUITE` table: a corpus, a test that
+returns the violations of one instance, and for a one-directional result a
+recorded witness on which the converse fails.  One executor runs them all.
 Every generator is deterministic given its arguments; every check is
 deterministic given (max_n, seed), and sharded runs merge to the same report
 as a single-shard run.
@@ -14,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     EVEN,
@@ -117,38 +120,46 @@ def render_record(report: VerificationReport) -> str:
     )
 
 
-def _execute(
-    name: str,
-    items: Sequence,
-    test_one: Callable,
-    shards: int = 1,
-    requires_witness: bool = False,
-    extra_witness: bool = False,
-) -> VerificationReport:
-    start = time.perf_counter()
-    indexed = list(enumerate(items))
-    parts = []
-    for t in range(shards):
-        ces: list[Counterexample] = []
-        hit = False
-        tested = 0
-        for idx, inst in indexed[t::shards]:
-            violations, witness = test_one(idx, inst)
-            tested += 1
-            ces.extend(Counterexample(idx, v) for v in violations)
-            hit = hit or witness
-        parts.append(
-            VerificationReport(name, tested, tuple(ces), requires_witness, hit, 0.0)
+class Witness(NamedTuple):
+    """A recorded instance showing a one-directional result is sharp:
+    ``converse_fails(instance)`` must hold."""
+
+    instance: object
+    converse_fails: Callable[[object], bool]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity: ``corpus(max_n, seed, **corpus_args)`` lists the
+    instances, ``test(instance)`` returns the violation details of one of
+    them, and a check with a witness passes only when the witness holds.
+    The witness is evaluated once per run, whatever the corpus."""
+
+    name: str
+    corpus: Callable[..., Sequence]
+    test: Callable[[object], list[str]]
+    witness: Optional[Witness] = None
+
+    def __call__(
+        self, max_n: int = 3, seed: int = 0, shards: int = 1, **corpus_args
+    ) -> VerificationReport:
+        items = self.corpus(max_n, seed, **corpus_args)
+        start = time.perf_counter()
+        parts = []
+        for t in range(shards):
+            part = range(t, len(items), shards)
+            ces = tuple(Counterexample(i, v) for i in part for v in self.test(items[i]))
+            parts.append(VerificationReport(self.name, len(part), ces, False, False, 0.0))
+        merged = merge_reports(parts)
+        w = self.witness
+        return VerificationReport(
+            self.name,
+            merged.tested,
+            merged.counterexamples,
+            w is not None,
+            w is not None and w.converse_fails(w.instance),
+            time.perf_counter() - start,
         )
-    merged = merge_reports(parts)
-    return VerificationReport(
-        name,
-        merged.tested,
-        merged.counterexamples,
-        requires_witness,
-        merged.witness_found or extra_witness,
-        time.perf_counter() - start,
-    )
 
 
 def fmt_system(s: SetSystem) -> str:
@@ -166,7 +177,7 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
     """All delta-matroids on a ground set of size n, by brute force over
     every proper family with the full axiom check."""
     if not 0 <= n <= 4:
-        raise ValueError("exhaustive delta-matroid enumeration is limited to n <= 4")
+        raise ValueError("exhaustive delta-matroid enumeration is limited to 0 <= n <= 4")
     g = numbered_ground(n)
     out = []
     for code in range(1, 1 << (1 << n)):
@@ -198,7 +209,7 @@ def all_symmetric_matrices(n: int) -> tuple[Gf2SymmetricMatrix, ...]:
 def binary_delta_corpus_exact(n: int) -> tuple[DeltaMatroid, ...]:
     """All twists of D(A) over all symmetric matrices of order n, deduplicated."""
     if not 0 <= n <= 4:
-        raise ValueError("binary corpus generation is limited to n <= 4")
+        raise ValueError("binary corpus generation is limited to 0 <= n <= 4")
     g = numbered_ground(n)
     seen: set[tuple[Mask, ...]] = set()
     out = []
@@ -244,7 +255,7 @@ def _rref_matrices(n: int) -> list[Gf2Matrix]:
 @lru_cache(maxsize=None)
 def binary_matroids_exact(n: int) -> tuple[Matroid, ...]:
     if not 0 <= n <= 6:
-        raise ValueError("binary matroid generation is limited to n <= 6")
+        raise ValueError("binary matroid generation is limited to 0 <= n <= 6")
     g = numbered_ground(n)
     seen: set[tuple[Mask, ...]] = set()
     out = []
@@ -270,41 +281,11 @@ def matroid_twist_pairs(n: int) -> tuple[tuple[Matroid, Mask], ...]:
     )
 
 
-def _extends_delta(fam: set[Mask], z: Mask) -> bool:
-    """Whether fam + {z} still satisfies symmetric exchange, given fam does.
-
-    Adding a set can only help existing triples, so only triples involving
-    the new set need checking.
-    """
-    mem = fam | {z}
-    for y in fam:
-        d = z ^ y
-        rest = d
-        while rest:
-            ub = rest & -rest
-            rest ^= ub
-            for x in (z, y):
-                xu = x ^ ub
-                if xu in mem:
-                    continue
-                ok = False
-                others = d ^ ub
-                while others:
-                    vb = others & -others
-                    others ^= vb
-                    if xu ^ vb in mem:
-                        ok = True
-                        break
-                if not ok:
-                    return False
-    return True
-
-
 def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, ...]:
     """Seeded random delta-matroids: grow a family from a random feasible set,
     rejecting any candidate addition that breaks the exchange axiom."""
     if not 0 <= n <= 8:
-        raise ValueError("random delta-matroid sampling is limited to n <= 8")
+        raise ValueError("random delta-matroid sampling is limited to 0 <= n <= 8")
     rng = random.Random("dmx-random-%d-%d" % (n, seed))
     cap = 1 << n
     g = numbered_ground(n)
@@ -316,7 +297,7 @@ def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, 
             cand = rng.randrange(cap)
             if cand in fam:
                 continue
-            if _extends_delta(fam, cand):
+            if exchange_violation_masks(tuple(fam | {cand})) is None:
                 fam.add(cand)
             else:
                 rejected += 1
@@ -332,12 +313,16 @@ def _edge(label: str, twisted: bool = False) -> RibbonEdge:
     return RibbonEdge(label, (label + "a", label + "b"), twisted)
 
 
+# a twisted loop: its dual is Eulerian, yet the graph is not bipartite
+MOBIUS_LOOP = RibbonGraph((("1a", "1b"),), (_edge("1", True),))
+
+
 @lru_cache(maxsize=None)
 def ribbon_corpus() -> tuple[tuple[str, RibbonGraph], ...]:
     """Named corpus covering plane, toroidal and non-orientable graphs."""
     graphs = [
         ("plane_loop", RibbonGraph((("1a", "1b"),), (_edge("1"),))),
-        ("mobius_loop", RibbonGraph((("1a", "1b"),), (_edge("1", True),))),
+        ("mobius_loop", MOBIUS_LOOP),
         ("torus_bouquet", RibbonGraph((("1a", "2a", "1b", "2b"),), (_edge("1"), _edge("2")))),
         ("plane_bouquet", RibbonGraph((("1a", "1b", "2a", "2b"),), (_edge("1"), _edge("2")))),
         (
@@ -390,31 +375,44 @@ def ribbon_corpus() -> tuple[tuple[str, RibbonGraph], ...]:
 
 
 # ---------------------------------------------------------------------------
-# checks
+# identities: each test returns the violation details of one instance
 # ---------------------------------------------------------------------------
 
 
-def check_min_deletion(max_n: int = 3, seed: int = 0, shards: int = 1) -> VerificationReport:
-    """Deletion commutes with taking the lower matroid; the contraction analog
-    must fail on the recorded witness."""
-    items = delta_matroids_up_to(min(max_n, 4))
+def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int], Sequence]:
+    """The corpus generate(min(max_n, cap)); it does not depend on the seed."""
+    return lambda max_n, seed: generate(min(max_n, cap))
 
-    def test(idx, d):
-        v = []
-        for e in range(d.ground.size):
-            if d.is_coloop(e):
-                continue
-            if lower_matroid(d.delete(e)) != lower_matroid(d).delete(e):
-                v.append(
-                    "%s :: deletion/minimum identity fails at %s"
-                    % (fmt_system(d), d.ground.labels[e])
-                )
-        hit = False
-        if d == CONTRACTION_WITNESS:
-            hit = lower_matroid(d.contract(0)) != lower_matroid(d).contract(0)
-        return v, hit
 
-    return _execute("min_deletion", items, test, shards, requires_witness=True)
+def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
+    """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e."""
+    dmin = lower_matroid(d)
+    return [
+        e
+        for e in range(d.ground.size)
+        if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
+    ]
+
+
+def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask]:
+    """The A in subsets that some feasible set meets in fewer elements than
+    every lower-matroid base does."""
+    dmin = lower_matroid(d)
+    return [
+        a
+        for a in subsets
+        if min((f & a).bit_count() for f in d.family)
+        < min((b & a).bit_count() for b in dmin.family)
+    ]
+
+
+def _min_deletion(d: DeltaMatroid) -> list[str]:
+    """Deletion commutes with taking the lower matroid; the contraction
+    analog fails on the recorded witness."""
+    return [
+        "%s :: deletion/minimum identity fails at %s" % (fmt_system(d), d.ground.labels[e])
+        for e in _deletion_minimum_failures(d)
+    ]
 
 
 def _qualifying_circuit(d: DeltaMatroid) -> bool:
@@ -425,228 +423,140 @@ def _qualifying_circuit(d: DeltaMatroid) -> bool:
     return False
 
 
-def check_odd_circuit(max_n: int = 3, seed: int = 0, shards: int = 1) -> VerificationReport:
+def _odd_circuit(d: DeltaMatroid) -> list[str]:
     """Binary delta-matroid is odd iff some circuit C of the lower matroid is
     feasible in the restriction to C; the non-binary witness breaks the
     forward direction."""
-    items = binary_delta_corpus_up_to(min(max_n, 4))
-
-    def test(idx, d):
-        if (d.parity() == ODD) != _qualifying_circuit(d):
-            return ["%s :: odd-circuit equivalence fails" % fmt_system(d)], False
-        return [], False
-
-    w = NONBINARY_WITNESS
-    extra = (
-        w.parity() == ODD
-        and not _qualifying_circuit(w)
-        and not is_binary(w).verdict
-    )
-    return _execute(
-        "odd_circuit", items, test, shards, requires_witness=True, extra_witness=extra
-    )
+    if (d.parity() == ODD) != _qualifying_circuit(d):
+        return ["%s :: odd-circuit equivalence fails" % fmt_system(d)]
+    return []
 
 
-def check_bipartite_loop_complement(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _bipartite_loop_complement(d: DeltaMatroid) -> list[str]:
     """Binary even delta-matroid is bipartite iff its loop complementation on
     the whole ground set is even."""
-    items = [d for d in binary_delta_corpus_up_to(min(max_n, 4)) if d.parity() == EVEN]
-
-    def test(idx, d):
-        bip = is_bipartite_delta(d)
-        even = d.loop_complement(d.ground.full_mask).parity() == EVEN
-        if bip != even:
-            return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(d)], False
-        return [], False
-
-    return _execute("bipartite_loop_complement", items, test, shards)
+    if is_bipartite_delta(d) != (d.loop_complement(d.ground.full_mask).parity() == EVEN):
+        return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(d)]
+    return []
 
 
-def check_welsh_duality(max_n: int = 3, seed: int = 0, shards: int = 1) -> VerificationReport:
+def _welsh_duality(m: Matroid) -> list[str]:
     """Binary matroid is Eulerian iff its dual is bipartite iff its
     independent-set count is odd."""
-    items = binary_matroids_up_to(min(max_n, 5))
-
-    def test(idx, m):
-        v = []
-        eul = m.is_eulerian()
-        if eul != m.dual().is_bipartite():
-            v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(m))
-        if eul != bool(m.count_independent_sets() & 1):
-            v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(m))
-        return v, False
-
-    return _execute("welsh_duality", items, test, shards)
+    v = []
+    eul = m.is_eulerian()
+    if eul != m.dual().is_bipartite():
+        v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(m))
+    if eul != bool(m.count_independent_sets() & 1):
+        v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(m))
+    return v
 
 
 def _same_up_to_ground_order(a: SetSystem, b: SetSystem) -> bool:
     return set(a.ground.labels) == set(b.ground.labels) and a.labeled_family() == b.labeled_family()
 
 
-def check_twist_decomposition(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
     """Lower and upper matroids of a twisted matroid decompose as direct sums
     of minors of the matroid and its dual."""
-    items = matroid_twist_pairs(min(max_n, 4))
-
-    def test(idx, pair):
-        m, a = pair
-        ac = m.ground.full_mask ^ a
-        d = m.twist(a)
-        v = []
-        low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
-        if not _same_up_to_ground_order(lower_matroid(d), low):
-            v.append("%s * %s :: lower decomposition fails" % (fmt_system(m), m.render_set(a)))
-        high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
-        if not _same_up_to_ground_order(upper_matroid(d), high):
-            v.append("%s * %s :: upper decomposition fails" % (fmt_system(m), m.render_set(a)))
-        return v, False
-
-    return _execute("twist_decomposition", items, test, shards)
+    m, a = pair
+    ac = m.ground.full_mask ^ a
+    d = m.twist(a)
+    v = []
+    low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
+    if not _same_up_to_ground_order(lower_matroid(d), low):
+        v.append("%s * %s :: lower decomposition fails" % (fmt_system(m), m.render_set(a)))
+    high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
+    if not _same_up_to_ground_order(upper_matroid(d), high):
+        v.append("%s * %s :: upper decomposition fails" % (fmt_system(m), m.render_set(a)))
+    return v
 
 
-def check_circuit_contraction(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _circuit_contraction(m: Matroid) -> list[str]:
     """Contracting an element outside a circuit of a binary matroid leaves the
     circuit a circuit or a disjoint union of exactly two circuits."""
-    items = binary_matroids_up_to(min(max_n, 5))
-
-    def test(idx, m):
-        v = []
-        for c in m.circuits:
-            labels_c = frozenset(m.ground.labels_of(c))
-            for e in range(m.ground.size):
-                if (c >> e) & 1:
-                    continue
-                mc = m.contract(e)
-                circ = [frozenset(mc.ground.labels_of(x)) for x in mc.circuits]
-                if labels_c in circ:
-                    continue
-                parts = [x for x in circ if x <= labels_c]
-                if any(
-                    not x & y and (x | y) == labels_c
-                    for i, x in enumerate(parts)
-                    for y in parts[i + 1 :]
-                ):
-                    continue
-                v.append(
-                    "%s :: circuit %s breaks under contraction of %s"
-                    % (fmt_system(m), m.render_set(c), m.ground.labels[e])
-                )
-        return v, False
-
-    return _execute("circuit_contraction", items, test, shards)
+    v = []
+    for c in m.circuits:
+        labels_c = frozenset(m.ground.labels_of(c))
+        for e in range(m.ground.size):
+            if (c >> e) & 1:
+                continue
+            mc = m.contract(e)
+            circ = [frozenset(mc.ground.labels_of(x)) for x in mc.circuits]
+            if labels_c in circ:
+                continue
+            parts = [x for x in circ if x <= labels_c]
+            if any(
+                not x & y and (x | y) == labels_c
+                for i, x in enumerate(parts)
+                for y in parts[i + 1 :]
+            ):
+                continue
+            v.append(
+                "%s :: circuit %s breaks under contraction of %s"
+                % (fmt_system(m), m.render_set(c), m.ground.labels[e])
+            )
+    return v
 
 
-def check_bipartite_dual_eulerian(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _bipartite_dual_eulerian(pair: tuple[Matroid, Mask]) -> list[str]:
     """Bipartite twists of binary matroids have Eulerian duals; the converse
-    fails and the recorded witness must be detected by the converse hunt."""
-    n_cap = min(max_n, 5)
-    items = matroid_twist_pairs(n_cap)
-
-    def test(idx, pair):
-        m, a = pair
-        d = m.twist(a)
-        bip = is_bipartite_delta(d)
-        eul = is_eulerian_delta(d.dual())
-        v = []
-        if bip and not eul:
-            v.append("%s * %s :: bipartite twist with non-Eulerian dual" % (fmt_system(m), m.render_set(a)))
-        hit = eul and not bip and m == CONVERSE_WITNESS_MATROID and a == 0b01
-        return v, hit
-
-    return _execute(
-        "bipartite_dual_eulerian",
-        items,
-        test,
-        shards,
-        requires_witness=n_cap >= 2,
-    )
+    fails on the recorded witness."""
+    m, a = pair
+    d = m.twist(a)
+    if is_bipartite_delta(d) and not is_eulerian_delta(d.dual()):
+        return ["%s * %s :: bipartite twist with non-Eulerian dual" % (fmt_system(m), m.render_set(a))]
+    return []
 
 
-def check_characterization(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _characterization(pair: tuple[Matroid, Mask]) -> list[str]:
     """A twist of a binary matroid is bipartite (Eulerian) iff both deletion
     factors of the matroid and its dual are Eulerian (bipartite)."""
-    items = matroid_twist_pairs(min(max_n, 5))
-
-    def test(idx, pair):
-        m, a = pair
-        ac = m.ground.full_mask ^ a
-        d = m.twist(a)
-        mdac = m.minor(delete=ac)
-        mda = m.dual().minor(delete=a)
-        v = []
-        if is_bipartite_delta(d) != (mdac.is_eulerian() and mda.is_eulerian()):
-            v.append("%s * %s :: bipartite clause fails" % (fmt_system(m), m.render_set(a)))
-        if is_eulerian_delta(d) != (mdac.is_bipartite() and mda.is_bipartite()):
-            v.append("%s * %s :: eulerian clause fails" % (fmt_system(m), m.render_set(a)))
-        return v, False
-
-    return _execute("characterization", items, test, shards)
+    m, a = pair
+    ac = m.ground.full_mask ^ a
+    d = m.twist(a)
+    mdac = m.minor(delete=ac)
+    mda = m.dual().minor(delete=a)
+    v = []
+    if is_bipartite_delta(d) != (mdac.is_eulerian() and mda.is_eulerian()):
+        v.append("%s * %s :: bipartite clause fails" % (fmt_system(m), m.render_set(a)))
+    if is_eulerian_delta(d) != (mdac.is_bipartite() and mda.is_bipartite()):
+        v.append("%s * %s :: eulerian clause fails" % (fmt_system(m), m.render_set(a)))
+    return v
 
 
-def check_deletion_bipartite(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _deletion_bipartite(d: DeltaMatroid) -> list[str]:
     """Deletion preserves bipartiteness of arbitrary delta-matroids."""
-    items = delta_matroids_up_to(min(max_n, 4))
-
-    def test(idx, d):
-        if not is_bipartite_delta(d):
-            return [], False
-        v = []
-        for a in range(1 << d.ground.size):
-            if not is_bipartite_delta(d.minor(delete=a)):
-                v.append("%s :: deleting %s loses bipartiteness" % (fmt_system(d), d.render_set(a)))
-        return v, False
-
-    return _execute("deletion_bipartite", items, test, shards)
+    if not is_bipartite_delta(d):
+        return []
+    return [
+        "%s :: deleting %s loses bipartiteness" % (fmt_system(d), d.render_set(a))
+        for a in range(1 << d.ground.size)
+        if not is_bipartite_delta(d.minor(delete=a))
+    ]
 
 
-def check_contraction_bipartite(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _contraction_bipartite(d: DeltaMatroid) -> list[str]:
     """If a twist D*A is bipartite then D*/A^c and D/A are bipartite."""
-    items = delta_matroids_up_to(min(max_n, 4))
-
-    def test(idx, d):
-        full = d.ground.full_mask
-        v = []
-        for a in range(1 << d.ground.size):
-            if not is_bipartite_delta(d.twist(a)):
-                continue
-            if not is_bipartite_delta(d.dual().minor(contract=full ^ a)):
-                v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
-            if not is_bipartite_delta(d.minor(contract=a)):
-                v.append("%s :: D/A not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
-        return v, False
-
-    return _execute("contraction_bipartite", items, test, shards)
+    full = d.ground.full_mask
+    v = []
+    for a in range(1 << d.ground.size):
+        if not is_bipartite_delta(d.twist(a)):
+            continue
+        if not is_bipartite_delta(d.dual().minor(contract=full ^ a)):
+            v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
+        if not is_bipartite_delta(d.minor(contract=a)):
+            v.append("%s :: D/A not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
+    return v
 
 
-def check_lower_bound(max_n: int = 3, seed: int = 0, shards: int = 1) -> VerificationReport:
+def _lower_bound(d: DeltaMatroid) -> list[str]:
     """Every feasible set meets any A in at least as many elements as some
     lower-matroid base does."""
-    items = delta_matroids_up_to(min(max_n, 4))
-
-    def test(idx, d):
-        dmin = lower_matroid(d)
-        v = []
-        for a in range(1 << d.ground.size):
-            s0 = min((b & a).bit_count() for b in dmin.family)
-            if any((f & a).bit_count() < s0 for f in d.family):
-                v.append("%s :: intersection lower bound fails for A=%s" % (fmt_system(d), d.render_set(a)))
-        return v, False
-
-    return _execute("lower_bound", items, test, shards)
+    return [
+        "%s :: intersection lower bound fails for A=%s" % (fmt_system(d), d.render_set(a))
+        for a in _lower_bound_failures(d, range(1 << d.ground.size))
+    ]
 
 
 def _apply_ops(d: SetSystem, ops: Iterable[tuple[str, str]]) -> SetSystem:
@@ -657,152 +567,202 @@ def _apply_ops(d: SetSystem, ops: Iterable[tuple[str, str]]) -> SetSystem:
     return cur
 
 
-def check_operation_calculus(
-    max_n: int = 3,
-    seed: int = 0,
-    shards: int = 1,
-    random_count: int = 200,
-) -> VerificationReport:
+def _operation_calculus_corpus(
+    max_n: int, seed: int, random_count: int = 200
+) -> list[tuple[DeltaMatroid, Optional[str]]]:
+    """Every delta-matroid on at most min(max_n, 3) elements, tested on all
+    subsets (key None), then seeded random ones on min(max_n + 3, 8)
+    elements, each tested on a sample drawn from its own key."""
+    items: list[tuple[DeltaMatroid, Optional[str]]] = [
+        (d, None) for d in delta_matroids_up_to(min(max_n, 3))
+    ]
+    first = len(items)
+    sampled = random_delta_matroids(min(max_n + 3, 8), seed, random_count)
+    items += [(d, "dmx-opcalc-%d-%d" % (seed, first + i)) for i, d in enumerate(sampled)]
+    return items
+
+
+def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
     """Operation-calculus identities: twist group law, dual involution, the
     twist/minor exchange identities, loop-complement involution and the
     odd-interval membership rule, minor order-independence, parity invariance
     under twist, the lower-matroid deletion identity and the intersection
-    lower bound.  Exhaustive on small ground sets, sampled on seeded random
-    instances."""
-    exhaustive = delta_matroids_up_to(min(max_n, 3))
-    random_n = min(max_n + 3, 8)
-    items = list(exhaustive) + list(random_delta_matroids(random_n, seed, random_count))
-    n_exhaustive = len(exhaustive)
+    lower bound."""
+    d, key = item
+    n = d.ground.size
+    cap = 1 << n
+    v = []
 
-    def test(idx, d):
-        n = d.ground.size
-        cap = 1 << n
-        v = []
+    def flag(msg):
+        v.append("%s :: %s" % (fmt_system(d), msg))
 
-        def flag(msg):
-            v.append("%s :: %s" % (fmt_system(d), msg))
+    if key is None:
+        subsets: Sequence[Mask] = range(cap)
+        pairs: Iterable[tuple[Mask, Mask]] = itertools.product(subsets, repeat=2)
+        minor_pairs = [(dl, co) for dl in range(cap) for co in range(cap) if not dl & co]
+    else:
+        rng = random.Random(key)
+        subsets = [rng.randrange(cap) for _ in range(3)]
+        pairs = [(rng.randrange(cap), rng.randrange(cap)) for _ in range(3)]
+        minor_pairs = []
+        for _ in range(2):
+            dl = rng.randrange(cap)
+            minor_pairs.append((dl, rng.randrange(cap) & ~dl))
 
-        if idx < n_exhaustive:
-            subsets = list(range(cap))
-            pairs = [(a, b) for a in range(cap) for b in range(cap)]
-            minor_pairs = [
-                (dl, co) for dl in range(cap) for co in range(cap) if not dl & co
-            ]
-        else:
-            rng = random.Random("dmx-opcalc-%d-%d" % (seed, idx))
-            subsets = [rng.randrange(cap) for _ in range(3)]
-            pairs = [(rng.randrange(cap), rng.randrange(cap)) for _ in range(3)]
-            minor_pairs = []
-            for _ in range(2):
-                dl = rng.randrange(cap)
-                minor_pairs.append((dl, rng.randrange(cap) & ~dl))
-
-        for a, b in pairs:
-            if d.twist(a).twist(b) != d.twist(a ^ b):
-                flag("twist group law fails")
-                break
-        if d.dual().dual() != d:
-            flag("dual is not an involution")
-        for e in range(n):
-            bit = 1 << e
-            lab = d.ground.labels[e]
-            if d.contract(e) != d.twist(bit).delete(e):
-                flag("D/e != (D*e)\\e at %s" % lab)
-                break
-            if d.delete(e) != d.twist(bit).contract(e):
-                flag("D\\e != (D*e)/e at %s" % lab)
-                break
-        for x in subsets:
-            if d.minor(delete=x) != d.dual().minor(contract=x).dual():
-                flag("deletion-via-dual identity fails")
-                break
-        for x in subsets:
-            if d.loop_complement(x).loop_complement(x) != d:
-                flag("loop complement is not an involution")
-                break
-        # odd-interval membership rule against the iterated definition
-        x = subsets[0]
-        expected = set()
-        for y in range(cap):
-            need = y & ~x
-            count = sum(1 for z in d.family if not z & ~y and not need & ~z)
-            if count & 1:
-                expected.add(y)
-        if expected != set(d.loop_complement(x).family):
-            flag("odd-interval membership rule disagrees")
-        for dl, co in minor_pairs:
-            base = d.minor(delete=dl, contract=co)
-            ops_fwd = [("d", lab) for lab in d.ground.labels_of(dl)]
-            ops_fwd += [("c", lab) for lab in d.ground.labels_of(co)]
-            ops_rev = list(reversed(ops_fwd))
-            if _apply_ops(d, ops_fwd) != base or _apply_ops(d, ops_rev) != base:
-                flag("minor order dependence")
-                break
-        for a in subsets:
-            if d.twist(a).parity() != d.parity():
-                flag("parity not twist-invariant")
-                break
-        for e in range(n):
-            if d.is_coloop(e):
-                continue
-            if lower_matroid(d.delete(e)) != lower_matroid(d).delete(e):
-                flag("deletion/minimum identity fails")
-                break
-        dmin = lower_matroid(d)
-        for a in subsets:
-            s0 = min((b & a).bit_count() for b in dmin.family)
-            if any((f & a).bit_count() < s0 for f in d.family):
-                flag("intersection lower bound fails")
-                break
-        return v, False
-
-    return _execute("operation_calculus", items, test, shards)
+    for a, b in pairs:
+        if d.twist(a).twist(b) != d.twist(a ^ b):
+            flag("twist group law fails")
+            break
+    if d.dual().dual() != d:
+        flag("dual is not an involution")
+    for e in range(n):
+        bit = 1 << e
+        lab = d.ground.labels[e]
+        if d.contract(e) != d.twist(bit).delete(e):
+            flag("D/e != (D*e)\\e at %s" % lab)
+            break
+        if d.delete(e) != d.twist(bit).contract(e):
+            flag("D\\e != (D*e)/e at %s" % lab)
+            break
+    for x in subsets:
+        if d.minor(delete=x) != d.dual().minor(contract=x).dual():
+            flag("deletion-via-dual identity fails")
+            break
+    for x in subsets:
+        if d.loop_complement(x).loop_complement(x) != d:
+            flag("loop complement is not an involution")
+            break
+    # odd-interval membership rule against the iterated definition
+    x = subsets[0]
+    expected = set()
+    for y in range(cap):
+        need = y & ~x
+        count = sum(1 for z in d.family if not z & ~y and not need & ~z)
+        if count & 1:
+            expected.add(y)
+    if expected != set(d.loop_complement(x).family):
+        flag("odd-interval membership rule disagrees")
+    for dl, co in minor_pairs:
+        base = d.minor(delete=dl, contract=co)
+        ops_fwd = [("d", lab) for lab in d.ground.labels_of(dl)]
+        ops_fwd += [("c", lab) for lab in d.ground.labels_of(co)]
+        ops_rev = list(reversed(ops_fwd))
+        if _apply_ops(d, ops_fwd) != base or _apply_ops(d, ops_rev) != base:
+            flag("minor order dependence")
+            break
+    for a in subsets:
+        if d.twist(a).parity() != d.parity():
+            flag("parity not twist-invariant")
+            break
+    if _deletion_minimum_failures(d):
+        flag("deletion/minimum identity fails")
+    if _lower_bound_failures(d, subsets):
+        flag("intersection lower bound fails")
+    return v
 
 
-def check_ribbon_correspondence(
-    max_n: int = 3, seed: int = 0, shards: int = 1
-) -> VerificationReport:
+def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     """Quasi-tree delta-matroids of the ribbon corpus: evenness matches
     orientability, the petrial criterion for bipartiteness, and the dual of a
-    bipartite graph is Eulerian (one direction only; a converse witness is
-    required)."""
-    items = ribbon_corpus()
-
-    def test(idx, item):
-        name, g = item
-        v = []
-        d = g.delta_matroid()
-        if exchange_violation(d) is not None:
-            v.append("%s :: quasi-tree family violates symmetric exchange" % name)
-        orientable = g.is_orientable()
-        if (d.parity() == EVEN) != orientable:
-            v.append("%s :: evenness/orientability mismatch" % name)
-        bipartite = g.underlying_bipartite()
-        if orientable and bipartite != g.petrial().is_orientable():
-            v.append("%s :: petrial orientability criterion fails" % name)
-        dual_eulerian = is_eulerian_delta(d.dual())
-        if bipartite and not dual_eulerian:
-            v.append("%s :: bipartite graph with non-Eulerian dual" % name)
-        return v, (dual_eulerian and not bipartite)
-
-    return _execute("ribbon_correspondence", items, test, shards, requires_witness=True)
+    bipartite graph is Eulerian (one direction only)."""
+    name, g = item
+    v = []
+    d = g.delta_matroid()
+    if exchange_violation(d) is not None:
+        v.append("%s :: quasi-tree family violates symmetric exchange" % name)
+    orientable = g.is_orientable()
+    if (d.parity() == EVEN) != orientable:
+        v.append("%s :: evenness/orientability mismatch" % name)
+    bipartite = g.underlying_bipartite()
+    if orientable and bipartite != g.petrial().is_orientable():
+        v.append("%s :: petrial orientability criterion fails" % name)
+    if bipartite and not is_eulerian_delta(d.dual()):
+        v.append("%s :: bipartite graph with non-Eulerian dual" % name)
+    return v
 
 
-SUITE: dict[str, Callable[..., VerificationReport]] = {
-    "min_deletion": check_min_deletion,
-    "odd_circuit": check_odd_circuit,
-    "bipartite_loop_complement": check_bipartite_loop_complement,
-    "welsh_duality": check_welsh_duality,
-    "twist_decomposition": check_twist_decomposition,
-    "circuit_contraction": check_circuit_contraction,
-    "bipartite_dual_eulerian": check_bipartite_dual_eulerian,
-    "characterization": check_characterization,
-    "deletion_bipartite": check_deletion_bipartite,
-    "contraction_bipartite": check_contraction_bipartite,
-    "lower_bound": check_lower_bound,
-    "operation_calculus": check_operation_calculus,
-    "ribbon_correspondence": check_ribbon_correspondence,
+# ---------------------------------------------------------------------------
+# the suite: the one place where a check is declared
+# ---------------------------------------------------------------------------
+
+
+_delta_corpus = _capped(delta_matroids_up_to, 4)
+
+SUITE: dict[str, Check] = {
+    c.name: c
+    for c in (
+        Check(
+            "min_deletion",
+            _delta_corpus,
+            _min_deletion,
+            Witness(
+                CONTRACTION_WITNESS,
+                lambda d: lower_matroid(d.contract(0)) != lower_matroid(d).contract(0),
+            ),
+        ),
+        Check(
+            "odd_circuit",
+            _capped(binary_delta_corpus_up_to, 4),
+            _odd_circuit,
+            Witness(
+                NONBINARY_WITNESS,
+                lambda d: d.parity() == ODD
+                and not _qualifying_circuit(d)
+                and not is_binary(d).verdict,
+            ),
+        ),
+        Check(
+            "bipartite_loop_complement",
+            lambda max_n, seed: [
+                d for d in binary_delta_corpus_up_to(min(max_n, 4)) if d.parity() == EVEN
+            ],
+            _bipartite_loop_complement,
+        ),
+        Check("welsh_duality", _capped(binary_matroids_up_to, 5), _welsh_duality),
+        Check("twist_decomposition", _capped(matroid_twist_pairs, 4), _twist_decomposition),
+        Check("circuit_contraction", _capped(binary_matroids_up_to, 5), _circuit_contraction),
+        Check(
+            "bipartite_dual_eulerian",
+            _capped(matroid_twist_pairs, 5),
+            _bipartite_dual_eulerian,
+            Witness(
+                CONVERSE_WITNESS_MATROID.twist(0b01),
+                lambda d: is_eulerian_delta(d.dual()) and not is_bipartite_delta(d),
+            ),
+        ),
+        Check("characterization", _capped(matroid_twist_pairs, 5), _characterization),
+        Check("deletion_bipartite", _delta_corpus, _deletion_bipartite),
+        Check("contraction_bipartite", _delta_corpus, _contraction_bipartite),
+        Check("lower_bound", _delta_corpus, _lower_bound),
+        Check("operation_calculus", _operation_calculus_corpus, _operation_calculus),
+        Check(
+            "ribbon_correspondence",
+            lambda max_n, seed: ribbon_corpus(),
+            _ribbon_correspondence,
+            Witness(
+                MOBIUS_LOOP,
+                lambda g: is_eulerian_delta(g.delta_matroid().dual())
+                and not g.underlying_bipartite(),
+            ),
+        ),
+    )
 }
+
+(
+    check_min_deletion,
+    check_odd_circuit,
+    check_bipartite_loop_complement,
+    check_welsh_duality,
+    check_twist_decomposition,
+    check_circuit_contraction,
+    check_bipartite_dual_eulerian,
+    check_characterization,
+    check_deletion_bipartite,
+    check_contraction_bipartite,
+    check_lower_bound,
+    check_operation_calculus,
+    check_ribbon_correspondence,
+) = SUITE.values()
 
 
 def run_suite(
@@ -825,14 +785,14 @@ def enumerate_delta_matroids(n: int, seed: int = 0, sample_count: int = 2000) ->
 
     Exhaustive for n <= 4; seeded sampling for n = 5, 6.
     """
+    if not 0 <= n <= 6:
+        raise ValueError("enumeration is limited to 0 <= n <= 6")
     if n <= 4:
         dms: Sequence[DeltaMatroid] = delta_matroids_exact(n)
         mode = "exhaustive"
-    elif n <= 6:
+    else:
         dms = random_delta_matroids(n, seed, sample_count)
         mode = "sample"
-    else:
-        raise ValueError("enumeration is limited to n <= 6")
     counts = {"even": 0, "binary": 0, "bipartite": 0, "eulerian": 0}
     for d in dms:
         if d.parity() == EVEN:

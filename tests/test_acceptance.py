@@ -10,7 +10,7 @@ import time
 import pytest
 
 from dmx.core import DeltaMatroid, SetSystem, numbered_ground
-from dmx.gf2 import is_binary
+from dmx.gf2 import _exhaustive_search, is_binary
 from dmx.matroid import (
     Matroid,
     is_bipartite_delta,
@@ -57,7 +57,7 @@ def test_criterion_1_explicit_witnesses():
         # (b) the odd non-binary three-element instance
         d3 = DeltaMatroid.from_sets("123", [(), "12", "23", "13", "123"])
         assert d3.parity() == "odd"
-        assert not is_binary(d3, exhaustive=True).verdict
+        assert not is_binary(d3).verdict and _exhaustive_search(d3) is None
         assert lower_matroid(d3).circuits == (0b001, 0b010, 0b100)
         for e in range(3):
             assert d3.restrict(1 << e).family == (0,)

@@ -163,8 +163,10 @@ def test_enumerate(files):
 
 
 def test_enumerate_out_of_range():
-    code, _, err = run("enumerate", "--n", "9")
-    assert code == 2
+    for n in ("9", "-1"):
+        code, _, err = run("enumerate", "--n", n)
+        assert code == 2
+        assert err.startswith("error: ") and "0 <= n <= 6" in err
 
 
 def test_verify_single_suite():
@@ -180,6 +182,16 @@ def test_verify_records_format():
     assert code == 0
     fields = out.strip().split("\t")
     assert fields[0] == "welsh_duality" and fields[3] == "pass"
+
+
+@pytest.mark.parametrize("max_n", ["0", "1"])
+def test_verify_passes_below_witness_size(max_n):
+    # every recorded witness is checked whatever the corpus size
+    code, out, _ = run("verify", "--max-n", max_n)
+    verdicts = [line for line in out.splitlines() if line.startswith("verdict: ")]
+    assert code == 0
+    assert len(verdicts) == 13 and set(verdicts) == {"verdict: pass"}
+    assert "witness: missing" not in out
 
 
 def test_verify_unknown_suite():

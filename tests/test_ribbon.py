@@ -116,3 +116,54 @@ def test_connectivity():
     assert loop(False).is_connected()
     g = RibbonGraph((("1a", "1b"), ()), (edge("1"),))
     assert not g.is_connected()
+
+
+def random_rotation_system(rng):
+    """A seeded random signed rotation system: endpoints drawn independently,
+    so loops, multi-edges, isolated vertices and no edges all occur."""
+    n_vertices = rng.randint(1, 5)
+    rotations = [[] for _ in range(n_vertices)]
+    edges = []
+    for i in range(rng.randint(0, 6)):
+        e = edge(str(i + 1), rng.random() < 0.5)
+        for h in e.ends:
+            rotations[rng.randrange(n_vertices)].append(h)
+        edges.append(e)
+    for rot in rotations:
+        rng.shuffle(rot)
+    return RibbonGraph(tuple(tuple(rot) for rot in rotations), tuple(edges))
+
+
+def test_signed_traversal_matches_reference_oracles():
+    import itertools
+    import random
+
+    import networkx as nx
+
+    rng = random.Random("dmx-ribbon-differential")
+    seen = set()
+    for _ in range(2000):
+        g = random_rotation_system(rng)
+        v_of = {h: vi for vi, rot in enumerate(g.vertices) for h in rot}
+        ends = [(v_of[e.ends[0]], v_of[e.ends[1]], e.twisted) for e in g.edges]
+        multigraph = nx.MultiGraph()
+        multigraph.add_nodes_from(range(len(g.vertices)))
+        multigraph.add_edges_from((u, v) for u, v, _ in ends)
+        # orientable iff switching at some vertex set untwists every edge
+        orientable = any(
+            not any(t ^ (u in s) ^ (v in s) for u, v, t in ends)
+            for k in range(len(g.vertices) + 1)
+            for s in map(set, itertools.combinations(range(len(g.vertices)), k))
+        )
+        assert g.is_connected() == nx.is_connected(multigraph)
+        assert g.underlying_bipartite() == nx.is_bipartite(multigraph)
+        assert g.is_orientable() == orientable
+        if not ends:
+            seen.add("no edges")
+        if any(u == v for u, v, _ in ends):
+            seen.add("loop")
+        if len({frozenset((u, v)) for u, v, _ in ends}) < len(ends):
+            seen.add("multi-edge")
+        if not nx.is_connected(multigraph):
+            seen.add("disconnected")
+    assert seen == {"no edges", "loop", "multi-edge", "disconnected"}

@@ -1,6 +1,8 @@
 import pytest
 
+from dmx import verify
 from dmx.core import exchange_violation
+from dmx.matroid import upper_matroid
 from dmx.verify import (
     Counterexample,
     VerificationReport,
@@ -135,6 +137,7 @@ def test_render_formats():
 def test_every_check_passes_at_small_size():
     reports = run_suite(max_n=2, seed=0)
     assert [r.name for r in reports] == list(SUITE)
+    assert all(getattr(verify, "check_" + name) is c for name, c in SUITE.items())
     for r in reports:
         assert r.verdict, render_text(r)
 
@@ -152,9 +155,25 @@ def test_sharded_run_matches_unsharded():
 
 
 def test_shard_count_does_not_change_text_report():
-    one = run_suite(max_n=4, seed=0, shards=1)
-    three = run_suite(max_n=4, seed=0, shards=3)
-    assert [render_text(r) for r in one] == [render_text(r) for r in three]
+    for max_n, tested in (
+        (3, [174, 154, 39, 24, 153, 24, 153, 153, 174, 174, 174, 374, 13]),
+        (4, [6133, 2449, 309, 91, 1225, 91, 1225, 1225, 6133, 6133, 6133, 374, 13]),
+    ):
+        one = run_suite(max_n=max_n, seed=0, shards=1)
+        three = run_suite(max_n=max_n, seed=0, shards=3)
+        assert [r.tested for r in one] == tested
+        assert [render_text(r) for r in one] == [render_text(r) for r in three]
+
+
+def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
+    # both checks built on the deletion/minimum identity must catch it
+    monkeypatch.setattr(verify, "lower_matroid", upper_matroid)
+    names = ["min_deletion", "operation_calculus"]
+    one = run_suite(names, max_n=3, seed=2, shards=1)
+    three = run_suite(names, max_n=3, seed=2, shards=3)
+    for a, b in zip(one, three):
+        assert a.counterexamples and not a.verdict
+        assert a.counterexamples == b.counterexamples
 
 
 def test_run_suite_rejects_unknown_name():
