@@ -338,31 +338,49 @@ class SetSystem:
 
 
 def exchange_violation_masks(family: Sequence[Mask]) -> Optional[tuple[Mask, Mask, int]]:
-    """First (X, Y, u) with no admissible v, in canonical family order, or None.
+    """First (X, Y, u) with no admissible v, in the given order, or None.
 
     u = v is allowed, i.e. X XOR {u} alone already satisfies the triple.
+    "First" means the earliest X, then the earliest Y, then the smallest u,
+    each in the order of ``family``.
+
+    Column kernel: bit j of ``has[i]`` is set when family[j] contains i.  For
+    each X and each u with X XOR {u} not in F, a Y violates the triple iff it
+    differs from X at u and agrees with X at every partner v (X XOR {u, v} in
+    F), so the violating Ys are one AND of columns or their complements.
     """
     members = set(family)
+    full = (1 << len(family)) - 1
+    # the largest mask has the highest element
+    has = [0] * max(family, default=0).bit_length()
+    bit = 1
+    for m in family:
+        while m:
+            low = m & -m
+            has[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
+    # (element, its bit, members containing it, members lacking it)
+    columns = [(i, 1 << i, c, full ^ c) for i, c in enumerate(has) if c]
     for x in family:
-        for y in family:
-            d = x ^ y
-            rest = d
-            while rest:
-                ub = rest & -rest
-                rest ^= ub
-                xu = x ^ ub
-                if xu in members:
-                    continue
-                ok = False
-                others = d ^ ub
-                while others:
-                    vb = others & -others
-                    others ^= vb
-                    if xu ^ vb in members:
-                        ok = True
+        best = 0
+        best_u = -1
+        for u, ub, has_u, lacks_u in columns:
+            xu = x ^ ub
+            if xu in members:
+                continue
+            ys = lacks_u if x & ub else has_u
+            for _, vb, has_v, lacks_v in columns:
+                if vb != ub and xu ^ vb in members:
+                    ys &= has_v if x & vb else lacks_v
+                    if not ys:
                         break
-                if not ok:
-                    return (x, y, ub.bit_length() - 1)
+            if ys:
+                low = ys & -ys
+                if best_u < 0 or low < best:
+                    best, best_u = low, u
+        if best_u >= 0:
+            return (x, family[best.bit_length() - 1], best_u)
     return None
 
 
@@ -393,7 +411,10 @@ class DeltaMatroid(SetSystem):
 
 
 def validate_delta_matroid(system: SetSystem) -> DeltaMatroid:
-    """Brute-force axiom check over all (X, Y, u) triples."""
+    """Check the symmetric exchange axiom and return the family as a DeltaMatroid.
+
+    Raises SymmetricExchangeError with the first failing (X, Y, u) triple.
+    """
     if not system.family:
         raise ImproperSystemError("a delta-matroid needs a nonempty feasible family")
     witness = exchange_violation_masks(system.family)

@@ -146,7 +146,8 @@ class Check:
         items = self.corpus(max_n, seed, **corpus_args)
         start = time.perf_counter()
         parts = []
-        for t in range(shards):
+        # shards beyond the instance count would only add empty parts
+        for t in range(min(shards, max(1, len(items)))):
             part = range(t, len(items), shards)
             ces = tuple(Counterexample(i, v) for i in part for v in self.test(items[i]))
             parts.append(VerificationReport(self.name, len(part), ces, False, False, 0.0))

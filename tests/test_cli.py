@@ -1,9 +1,15 @@
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from dmx import verify
 from dmx.cli import main
+from dmx.core import numbered_ground
+from dmx.formats import dump_dm
+from dmx.gf2 import delta_matroid_from_symmetric
+from test_core import _random_symmetric
 
 DM = "ground: 1 2\nfeasible: {}\nfeasible: {1,2}\n"
 BAD_AXIOM = "ground: 1 2 3\nfeasible: {}\nfeasible: {1,2,3}\n"
@@ -52,6 +58,33 @@ def test_check_axiom_failure_reports_witness_with_exit_zero(files):
 def test_check_matroid_kind(files):
     code, out, _ = run("check", files["m.dm"])
     assert code == 0 and "kind: matroid" in out and "valid: yes" in out
+
+
+def test_check_large_binary_delta_matroid(tmp_path):
+    # thousands of feasible sets on 14 elements: the exchange check scales
+    a = _random_symmetric(14, random.Random("dmx-large-check"))
+    d = delta_matroid_from_symmetric(a, numbered_ground(14))
+    assert len(d.family) > 4000
+    p = tmp_path / "big.dm"
+    p.write_text(dump_dm(d))
+    code, out, _ = run("check", str(p))
+    assert code == 0
+    assert "feasible-sets: %d" % len(d.family) in out.splitlines()
+    assert "valid: yes" in out.splitlines()
+
+
+def test_check_matroid_base_exchange_failure(tmp_path):
+    p = tmp_path / "m.dm"
+    p.write_text(
+        "kind: matroid\nground: 1 2 3 4\n"
+        "feasible: {2,3}\nfeasible: {1,4}\nfeasible: {1,2}\n"
+    )
+    code, out, _ = run("check", str(p))
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "valid: no",
+        "reason: base exchange fails at B1={1,4}, B2={2,3}, u=1",
+    ]
 
 
 def test_check_gf2_and_rg(files):
@@ -192,6 +225,23 @@ def test_verify_passes_below_witness_size(max_n):
     assert code == 0
     assert len(verdicts) == 13 and set(verdicts) == {"verdict: pass"}
     assert "witness: missing" not in out
+
+
+def test_verify_shards_beyond_instance_count(monkeypatch):
+    merged_sizes = []
+    merge_reports = verify.merge_reports
+
+    def merge(parts):
+        merged_sizes.append(len(parts))
+        return merge_reports(parts)
+
+    monkeypatch.setattr(verify, "merge_reports", merge)
+    suite = ("verify", "--suite", "ribbon_correspondence", "--max-n", "2")
+    code, many, _ = run(*suite, "--shards", "300000")
+    code1, one, _ = run(*suite, "--shards", "1")
+    items = len(verify.ribbon_corpus())
+    assert code == 0 and code1 == 0 and many == one
+    assert merged_sizes == [items, 1]
 
 
 def test_verify_unknown_suite():

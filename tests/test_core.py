@@ -1,7 +1,9 @@
+import logging
 import random
 
 import pytest
 
+from dmx import verify
 from dmx.core import (
     RANK_TABLE_MAX_N,
     DeltaMatroid,
@@ -19,6 +21,7 @@ from dmx.core import (
     numbered_ground,
     validate_delta_matroid,
 )
+from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
 
 
 def dm(labels, sets):
@@ -116,6 +119,91 @@ def test_exchange_axiom_validation():
 def test_exchange_allows_u_equals_v():
     # {}, {1}: u = v = 1 satisfies the triple
     assert exchange_violation_masks((0b0, 0b1)) is None
+
+
+def _exchange_reference(family):
+    """Brute-force oracle for exchange_violation_masks: the scan over all
+    (X, Y) pairs with an inner loop over v, in the given order."""
+    members = set(family)
+    for x in family:
+        for y in family:
+            d = x ^ y
+            rest = d
+            while rest:
+                ub = rest & -rest
+                rest ^= ub
+                xu = x ^ ub
+                if xu in members:
+                    continue
+                ok = False
+                others = d ^ ub
+                while others:
+                    vb = others & -others
+                    others ^= vb
+                    if xu ^ vb in members:
+                        ok = True
+                        break
+                if not ok:
+                    return (x, y, ub.bit_length() - 1)
+    return None
+
+
+def test_exchange_kernel_matches_reference_on_every_small_family():
+    for n in range(5):
+        for code in range(1 << (1 << n)):
+            fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
+            assert exchange_violation_masks(fam) == _exchange_reference(fam), fam
+
+
+def test_exchange_kernel_matches_reference_in_shuffled_orders():
+    # the witness is the first triple in the given order, not the canonical one
+    for n in range(4):
+        for code in range(1, 1 << (1 << n)):
+            fam = [m for m in range(1 << n) if (code >> m) & 1]
+            for seed in range(4):
+                random.Random("dmx-exchange-order-%d-%d" % (code, seed)).shuffle(fam)
+                order = tuple(fam)
+                assert exchange_violation_masks(order) == _exchange_reference(order), order
+
+
+def _random_symmetric(n, rng):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.getrandbits(1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Gf2SymmetricMatrix(tuple(rows))
+
+
+def test_exchange_kernel_matches_reference_on_binary_twists():
+    rng = random.Random("dmx-exchange-binary")
+    broken = 0
+    for n in range(6, 11):
+        g = numbered_ground(n)
+        for _ in range(3):
+            d = delta_matroid_from_symmetric(_random_symmetric(n, rng), g)
+            d = d.twist(rng.randrange(1 << n))
+            assert exchange_violation_masks(d.family) is None
+            assert _exchange_reference(d.family) is None
+            extra = rng.choice([m for m in range(1 << n) if m not in d.members])
+            fam = SetSystem(g, d.family + (extra,)).family
+            witness = exchange_violation_masks(fam)
+            assert witness == _exchange_reference(fam)
+            broken += witness is not None
+    assert broken >= 10
+
+
+@pytest.mark.parametrize("n, count", [(6, 1000), (8, 200)])
+def test_random_corpus_unchanged_under_reference_check(monkeypatch, caplog, n, count):
+    caplog.set_level(logging.INFO, logger=verify.logger.name)
+    fast = verify.random_delta_matroids(n, 1, count)
+    monkeypatch.setattr(verify, "exchange_violation_masks", _exchange_reference)
+    slow = verify.random_delta_matroids(n, 1, count)
+    assert [d.family for d in fast] == [d.family for d in slow]
+    logs = [r.getMessage() for r in caplog.records if "random delta-matroid" in r.getMessage()]
+    assert len(logs) == 2 and logs[0] == logs[1]
+    assert "rejected=0" not in logs[0]
 
 
 def test_empty_family_rejected():
