@@ -107,12 +107,6 @@ def apply_permutation(mask: Mask, perm: Sequence[int]) -> Mask:
     return out
 
 
-def _drop_bit(mask: Mask, e: int) -> Mask:
-    """Remove position e from the index space, shifting higher bits down."""
-    low = mask & ((1 << e) - 1)
-    return low | ((mask >> (e + 1)) << e)
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """An ordered ground set; element i carries labels[i]."""
@@ -142,9 +136,6 @@ class GroundSet:
 
     def labels_of(self, mask: Mask) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in indices_of(mask))
-
-    def without(self, e: int) -> "GroundSet":
-        return GroundSet(self.labels[:e] + self.labels[e + 1 :])
 
 
 def numbered_ground(n: int) -> GroundSet:
@@ -176,6 +167,19 @@ class SetSystem:
                     "subset mask %#x out of range for ground size %d" % (lo if lo < 0 else hi, n)
                 )
         object.__setattr__(self, "family", tuple(canonical_sorted(fam, n)))
+        self._check_class()
+
+    @classmethod
+    def _from_canonical(cls, ground: GroundSet, family: tuple[Mask, ...]) -> "SetSystem":
+        """Build from a duplicate-free, in-range family in canonical order."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "family", family)
+        self._check_class()
+        return self
+
+    def _check_class(self) -> None:
+        """Invariants of the concrete class beyond a canonical family."""
 
     @classmethod
     def from_sets(cls, labels: Iterable[str], sets: Iterable[Iterable[str]]) -> "SetSystem":
@@ -210,22 +214,21 @@ class SetSystem:
 
     # -- element predicates ------------------------------------------------
 
-    def _check_element(self, e: int) -> None:
+    def _element_bit(self, e: int) -> Mask:
         if not 0 <= e < self.ground.size:
             raise IndexError("element index %d out of range" % e)
+        return 1 << e
 
     def _check_mask(self, mask: Mask) -> None:
         if mask & ~self.ground.full_mask:
             raise ValueError("mask has bits outside the ground set")
 
     def is_loop(self, e: int) -> bool:
-        self._check_element(e)
-        bit = 1 << e
+        bit = self._element_bit(e)
         return all(not m & bit for m in self.family)
 
     def is_coloop(self, e: int) -> bool:
-        self._check_element(e)
-        bit = 1 << e
+        bit = self._element_bit(e)
         return all(m & bit for m in self.family)
 
     def parity(self) -> str:
@@ -242,7 +245,9 @@ class SetSystem:
         """Replace every member F by F XOR a.  Preserves the exchange axiom."""
         self._check_mask(a)
         cls = DeltaMatroid if isinstance(self, DeltaMatroid) else SetSystem
-        return cls(self.ground, tuple(m ^ a for m in self.family))
+        # XOR by an in-range a permutes the subsets, so only the order changes
+        fam = canonical_sorted([m ^ a for m in self.family], self.ground.size)
+        return cls._from_canonical(self.ground, tuple(fam))
 
     def dual(self) -> "SetSystem":
         return self.twist(self.ground.full_mask)
@@ -264,38 +269,35 @@ class SetSystem:
     # -- minors --------------------------------------------------------------
 
     def delete(self, e: int) -> "SetSystem":
-        self._check_element(e)
-        if self.family and self.is_coloop(e):
-            return self._contract_raw(e)
-        return self._delete_raw(e)
+        return self.minor(delete=self._element_bit(e))
 
     def contract(self, e: int) -> "SetSystem":
-        self._check_element(e)
-        if self.family and self.is_loop(e):
-            return self._delete_raw(e)
-        return self._contract_raw(e)
-
-    def _delete_raw(self, e: int) -> "SetSystem":
-        bit = 1 << e
-        masks = tuple(_drop_bit(m, e) for m in self.family if not m & bit)
-        return type(self)(self.ground.without(e), masks)
-
-    def _contract_raw(self, e: int) -> "SetSystem":
-        bit = 1 << e
-        masks = tuple(_drop_bit(m ^ bit, e) for m in self.family if m & bit)
-        return type(self)(self.ground.without(e), masks)
+        return self.minor(contract=self._element_bit(e))
 
     def minor(self, delete: Mask = 0, contract: Mask = 0) -> "SetSystem":
-        """Delete and contract the given element sets; order-independent."""
+        """Delete and contract the given element sets, highest index first.
+
+        Deleting a coloop contracts it and contracting a loop deletes it, so on
+        a plain set system (not on a delta-matroid) the result can depend on
+        the order in which the elements go.
+        """
         self._check_mask(delete)
         self._check_mask(contract)
         if delete & contract:
             raise ValueError("delete and contract sets overlap")
-        result = self
-        # highest index first, so pending indices never shift
-        for e in sorted(indices_of(delete | contract), reverse=True):
-            result = result.delete(e) if (delete >> e) & 1 else result.contract(e)
-        return result
+        # Highest first, so shifting higher bits down never moves a pending
+        # element.  Filtering keeps the canonical order, and the kept sets all
+        # agree on the element (all stay if none is on the wanted side).  Sets
+        # of equal size compare by whether the least element of their difference
+        # lies in the first; that is never the dropped one, so the order holds.
+        fam = self.family
+        labels = list(self.ground.labels)
+        for bit in sorted(iter_bits(delete | contract), reverse=True):
+            side, low = contract & bit, bit - 1
+            kept = [m for m in fam if m & bit == side] or fam
+            fam = [m & low | (m >> 1) & ~low for m in kept]
+            del labels[low.bit_length()]
+        return type(self)._from_canonical(GroundSet(tuple(labels)), tuple(fam))
 
     def restrict(self, a: Mask) -> "SetSystem":
         return self.minor(delete=self.ground.full_mask & ~a)
@@ -396,8 +398,7 @@ class DeltaMatroid(SetSystem):
     (or DeltaMatroid.from_sets) on untrusted input.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_class(self) -> None:
         if not self.family:
             raise ImproperSystemError("delta-matroid family may not be empty")
 

@@ -40,8 +40,8 @@ class Matroid(DeltaMatroid):
     Matroid.from_bases to validate the exchange property on raw input.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_class(self) -> None:
+        super()._check_class()
         # the canonical order sorts by cardinality first
         if self.family[0].bit_count() != self.family[-1].bit_count():
             raise MatroidError("bases must be equicardinal")
@@ -91,8 +91,7 @@ class Matroid(DeltaMatroid):
 
     def dual(self) -> "Matroid":
         """Bases are the complements of bases; coincides with the twist by E."""
-        full = self.ground.full_mask
-        return Matroid(self.ground, tuple(full ^ b for b in self.family))
+        return Matroid._from_canonical(self.ground, self.twist(self.ground.full_mask).family)
 
     def cocircuits(self) -> tuple[Mask, ...]:
         return self.dual().circuits

@@ -3,12 +3,14 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import dmx
 from dmx.core import DeltaMatroid, SetSystem, numbered_ground
 from dmx.gf2 import _exhaustive_search, is_binary
 from dmx.matroid import (
@@ -156,8 +158,12 @@ def test_criterion_7_ribbon_corpus():
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # the child imports the same dmx package as this process
+    src = os.path.dirname(os.path.dirname(dmx.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "dmx", *argv],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,

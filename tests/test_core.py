@@ -16,12 +16,14 @@ from dmx.core import (
     exchange_violation,
     exchange_violation_masks,
     family_sort_key,
+    indices_of,
     loop_complement_checked,
     mask_of,
     numbered_ground,
     validate_delta_matroid,
 )
 from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
+from dmx.matroid import Matroid, lower_matroid
 
 
 def dm(labels, sets):
@@ -297,6 +299,136 @@ def test_twist_minor_exchange_identities():
         assert d.delete(e) == d.twist(bit).contract(e)
     for x in range(8):
         assert d.minor(delete=x) == d.dual().minor(contract=x).dual()
+
+
+def test_minor_on_set_system_goes_highest_index_first():
+    # contracting 1 first would keep {1,2}; contracting 3 first keeps {3}
+    s = SetSystem.from_sets("123", ["3", "12"])
+    m = s.minor(contract=0b101)
+    assert (m.ground.labels, m.family) == (("2",), (0b0,))
+    low_first = s.contract(0).contract(1)
+    assert (low_first.ground.labels, low_first.family) == (("2",), (0b1,))
+
+
+def _remove_reference(s, e, contract):
+    """One element removed the way minors were first written: the loop/coloop
+    rule, a filter, a bit dropped from each mask and the full constructor."""
+    bit = 1 << e
+    if s.family and (s.is_loop(e) if contract else s.is_coloop(e)):
+        contract = not contract
+    low = bit - 1
+    masks = tuple(m & low | (m >> (e + 1)) << e for m in s.family if bool(m & bit) == contract)
+    return type(s)(GroundSet(s.ground.labels[:e] + s.ground.labels[e + 1 :]), masks)
+
+
+def _minor_reference(s, delete=0, contract=0):
+    """Element-by-element oracle for SetSystem.minor, highest index first."""
+    for e in sorted(indices_of(delete | contract), reverse=True):
+        s = _remove_reference(s, e, bool(contract >> e & 1))
+    return s
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert got.ground.labels == want.ground.labels
+    assert got.family == want.family
+
+
+def _assert_minors_match(s, delete, contract):
+    _assert_same(s.minor(delete=delete, contract=contract), _minor_reference(s, delete, contract))
+
+
+def _disjoint_pairs(n):
+    """Every (delete, contract) pair of disjoint subsets of n elements."""
+    full = (1 << n) - 1
+    for delete in range(full + 1):
+        for contract in range(full + 1):
+            if not delete & contract:
+                yield delete, contract
+
+
+def _every_small_system():
+    """Every family for n <= 3 as a SetSystem, as a DeltaMatroid when it is
+    nonempty and as a Matroid when it is also equicardinal.  The constructors
+    check only these class invariants, not the exchange axiom."""
+    for n in range(4):
+        g = numbered_ground(n)
+        for code in range(1 << (1 << n)):
+            fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
+            yield SetSystem(g, fam)
+            if fam:
+                yield DeltaMatroid(g, fam)
+                if len({m.bit_count() for m in fam}) == 1:
+                    yield Matroid(g, fam)
+
+
+def test_minor_matches_reference_on_every_small_system():
+    for s in _every_small_system():
+        n = s.ground.size
+        for delete, contract in _disjoint_pairs(n):
+            _assert_minors_match(s, delete, contract)
+        for e in range(n):
+            _assert_same(s.delete(e), _remove_reference(s, e, False))
+            _assert_same(s.contract(e), _remove_reference(s, e, True))
+
+
+def test_minor_of_empty_set_system_is_empty():
+    m = SetSystem(numbered_ground(3), ()).minor(delete=0b001, contract=0b100)
+    assert (type(m), m.ground.labels, m.family) == (SetSystem, ("2",), ())
+    assert SetSystem(numbered_ground(1), ()).delete(0).family == ()
+
+
+def test_minor_matches_reference_on_exhaustive_delta_matroids():
+    rng = random.Random("dmx-minor-exact-4")
+    for d in verify.delta_matroids_exact(4):
+        for e in range(4):
+            _assert_same(d.delete(e), _remove_reference(d, e, False))
+            _assert_same(d.contract(e), _remove_reference(d, e, True))
+        delete = rng.randrange(16)
+        contract = rng.randrange(16) & ~delete
+        _assert_minors_match(d, delete, contract)
+        _assert_minors_match(lower_matroid(d), delete, contract)
+
+
+@pytest.mark.parametrize("n, count", [(6, 300), (8, 100)])
+def test_minor_matches_reference_on_random_delta_matroids(n, count):
+    rng = random.Random("dmx-minor-random-%d" % n)
+    for d in verify.random_delta_matroids(n, 5, count):
+        for _ in range(4):
+            delete = rng.randrange(1 << n)
+            contract = rng.randrange(1 << n) & ~delete
+            _assert_minors_match(d, delete, contract)
+            _assert_minors_match(lower_matroid(d), delete, contract)
+
+
+def _assert_twist_matches_constructor(s, a):
+    # a twist of a Matroid is a DeltaMatroid: it need not be equicardinal
+    cls = DeltaMatroid if isinstance(s, DeltaMatroid) else SetSystem
+    _assert_same(s.twist(a), cls(s.ground, tuple(m ^ a for m in s.family)))
+
+
+def test_twist_and_dual_match_constructor_on_every_small_system():
+    for s in _every_small_system():
+        full = s.ground.full_mask
+        for a in range(full + 1):
+            _assert_twist_matches_constructor(s, a)
+        _assert_same(s.dual(), type(s)(s.ground, tuple(m ^ full for m in s.family)))
+
+
+def test_twist_and_dual_match_constructor_beyond_rank_table():
+    # above RANK_TABLE_MAX_N the order comes from family_sort_key
+    rng = random.Random("dmx-twist-large")
+    for n in (RANK_TABLE_MAX_N + 1, RANK_TABLE_MAX_N + 2):
+        g = numbered_ground(n)
+        full = g.full_mask
+        for _ in range(5):
+            fam = tuple(rng.randrange(1 << n) for _ in range(rng.randint(1, 300)))
+            for s in (SetSystem(g, fam), DeltaMatroid(g, fam)):
+                for a in (rng.randrange(1 << n), full):
+                    _assert_twist_matches_constructor(s, a)
+            bases = tuple(m for m in fam if m.bit_count() == fam[0].bit_count())
+            m = Matroid(g, bases)
+            _assert_same(m.dual(), Matroid(g, tuple(b ^ full for b in bases)))
 
 
 def test_restrict():

@@ -1,0 +1,55 @@
+"""Property tests of the minor and twist identities on seeded random
+delta-matroids."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmx.core import indices_of
+from dmx.verify import random_delta_matroids
+
+# The same examples on every run keep the suite deterministic; no example
+# database is kept.
+deterministic = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def delta_matroids(draw, min_n=0):
+    n = draw(st.integers(min_n, 8))
+    return random_delta_matroids(n, draw(st.integers(0, 10**6)), 1)[0]
+
+
+@st.composite
+def minors(draw):
+    """A delta-matroid with disjoint delete and contract sets."""
+    d = draw(delta_matroids())
+    full = d.ground.full_mask
+    delete = draw(st.integers(0, full))
+    return d, delete, draw(st.integers(0, full)) & ~delete
+
+
+@deterministic
+@given(delta_matroids(min_n=1), st.data())
+def test_contraction_is_deletion_of_the_twist(d, data):
+    e = data.draw(st.integers(0, d.ground.size - 1))
+    assert d.contract(e) == d.twist(1 << e).delete(e)
+
+
+@deterministic
+@given(delta_matroids(), st.data())
+def test_deletion_is_dual_of_contracted_dual(d, data):
+    x = data.draw(st.integers(0, d.ground.full_mask))
+    assert d.minor(delete=x) == d.dual().minor(contract=x).dual()
+
+
+@deterministic
+@given(minors(), st.data())
+def test_elementwise_minors_in_any_order(case, data):
+    d, delete, contract = case
+    order = data.draw(st.permutations(indices_of(delete | contract)))
+    cur = d
+    for e in order:
+        i = cur.ground.index(d.ground.labels[e])
+        cur = cur.contract(i) if contract >> e & 1 else cur.delete(i)
+    want = d.minor(delete=delete, contract=contract)
+    assert type(cur) is type(want)
+    assert cur == want
