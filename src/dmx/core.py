@@ -205,10 +205,6 @@ class SetSystem:
     def render_set(self, mask: Mask) -> str:
         return "{%s}" % ",".join(self.ground.labels_of(mask))
 
-    @property
-    def is_proper(self) -> bool:
-        return bool(self.family)
-
     def labeled_family(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self.ground.labels_of(m)) for m in self.family)
 
@@ -401,10 +397,6 @@ class DeltaMatroid(SetSystem):
     def _check_class(self) -> None:
         if not self.family:
             raise ImproperSystemError("delta-matroid family may not be empty")
-
-    @classmethod
-    def from_system(cls, system: SetSystem) -> "DeltaMatroid":
-        return validate_delta_matroid(system)
 
     @classmethod
     def from_sets(cls, labels: Iterable[str], sets: Iterable[Iterable[str]]) -> "DeltaMatroid":

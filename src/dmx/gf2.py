@@ -62,11 +62,28 @@ class Gf2SymmetricMatrix:
     def principal_nonsingular(self, x: Mask) -> bool:
         """Full rank of the principal submatrix A[x]; A[empty] counts as nonsingular.
 
-        Masking row i by x keeps exactly the entries of A[x] in that row, so
-        the masked rows have the rank of A[x] without compacting columns.
+        Masking row i by x keeps exactly the entries of A[x] in that row.  The
+        masked rows are reduced one at a time against the pivots found so
+        far (highest bit first), and A[x] is singular as soon as one of them
+        reduces to zero.
         """
         rows = self.rows
-        return gf2_rank(rows[i] & x for i in indices_of(x)) == x.bit_count()
+        pivots: dict[int, int] = {}
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = rows[low.bit_length() - 1] & x
+            while v:
+                h = v.bit_length() - 1
+                p = pivots.get(h)
+                if p is None:
+                    pivots[h] = v
+                    break
+                v ^= p
+            else:
+                return False
+        return True
 
 
 def delta_matroid_from_symmetric(
@@ -97,9 +114,6 @@ class Gf2Matrix:
 
     def column(self, j: int) -> int:
         return sum(((row >> j) & 1) << i for i, row in enumerate(self.rows))
-
-    def column_rank(self, x: Mask) -> int:
-        return gf2_rank([self.column(j) for j in indices_of(x)])
 
 
 def column_matroid(b: Gf2Matrix, ground: Optional[GroundSet] = None) -> Matroid:

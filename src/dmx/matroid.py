@@ -205,13 +205,15 @@ def _lower_bases(d: DeltaMatroid) -> tuple[Mask, ...]:
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the minimum-cardinality feasible sets."""
-    return Matroid(d.ground, _lower_bases(d))
+    return Matroid._from_canonical(d.ground, _lower_bases(d))
 
 
 def upper_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the maximum-cardinality feasible sets."""
     fam = d.family
-    return Matroid(d.ground, fam[bisect_left(fam, fam[-1].bit_count(), key=int.bit_count) :])
+    return Matroid._from_canonical(
+        d.ground, fam[bisect_left(fam, fam[-1].bit_count(), key=int.bit_count) :]
+    )
 
 
 def classify_delta(d: DeltaMatroid) -> ClassificationReport:

@@ -2,17 +2,19 @@
 
 A ribbon graph is stored as one cyclic half-edge sequence per vertex disc
 plus, per edge, its two half-edges and a twist sign.  Boundary components of
-spanning ribbon subgraphs are traced on the two endpoints of each half-edge
-segment, which is enough to extract the quasi-tree delta-matroid.
+spanning ribbon subgraphs are traced over int arrays on the two endpoints of
+each half-edge segment, four ends per edge.  The quasi-tree delta-matroid
+tests each of the 2^m edge subsets with a single walk, without recording it,
+and is limited to 16 edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import DeltaMatroid, GroundSet, Mask
+from .core import DeltaMatroid, GroundSet, Mask, mask_of
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,16 @@ class BoundaryTrace:
 
     components: int
     walks: tuple[tuple[tuple[str, str], ...], ...]
+
+
+class _EndArrays(NamedTuple):
+    """Int-array view of a rotation system.  Half-edge k of edge i (its
+    ends[k]) is 2i+k, and half-edge h has the segment ends 2h ('a') and
+    2h+1 ('b'), so edge i owns the ends 4i..4i+3."""
+
+    side: tuple[int, ...]  # the end across the edge's free side, per end
+    rotations: tuple[tuple[tuple[int, Mask], ...], ...]  # (half-edge, its edge bit) per vertex
+    incident: tuple[Mask, ...]  # the edges meeting each vertex
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,63 @@ class RibbonGraph:
 
     # -- boundary tracing -------------------------------------------------------
 
+    @cached_property
+    def _ends(self) -> _EndArrays:
+        index = {h: 2 * i + k for i, e in enumerate(self.edges) for k, h in enumerate(e.ends)}
+        rotations = tuple(
+            tuple((index[h], 1 << (index[h] >> 1)) for h in rot) for rot in self.vertices
+        )
+        return _EndArrays(
+            # untwisted: 4i+1 (h1 b) to 4i+2 (h2 a) and 4i+3 (h2 b) to 4i (h1 a);
+            # twisted: a to a and b to b
+            tuple(x ^ (2 if self.edges[x >> 2].twisted else 3) for x in range(4 * len(self.edges))),
+            rotations,
+            tuple(mask_of(h >> 1 for h, _ in rot) for rot in rotations),
+        )
+
+    def _arcs(self, a: Mask, arc: list[int]) -> list[list[int]]:
+        """Each vertex's half-edges in a, in rotation order; writes into arc
+        the arc partner of each of their ends.  Arcs join b of one kept
+        half-edge to a of the next around the vertex circle.  Entries of
+        other ends are left as they were."""
+        kept_at = []
+        for rot in self._ends.rotations:
+            kept = [h for h, bit in rot if a & bit]
+            if kept:
+                prev = kept[-1]
+                for h in kept:
+                    arc[2 * prev + 1] = 2 * h
+                    arc[2 * h] = 2 * prev + 1
+                    prev = h
+            kept_at.append(kept)
+        return kept_at
+
+    def _walk_ends(self, a: Optional[Mask]) -> list[tuple[int, ...]]:
+        """Boundary walks as end indices: one empty walk per bare vertex disc,
+        then one alternating side/arc cycle from each end not yet walked,
+        taken vertex by vertex in rotation order, a before b."""
+        side = self._ends.side
+        arc = [0] * len(side)
+        kept_at = self._arcs(self._edge_set(a), arc)
+        walks: list[tuple[int, ...]] = [() for kept in kept_at if not kept]
+        seen = bytearray(len(side))
+        for kept in kept_at:
+            for h in kept:
+                for start in (2 * h, 2 * h + 1):
+                    if seen[start]:
+                        continue
+                    walk = []
+                    cur = start
+                    while True:
+                        nxt = side[cur]
+                        walk += (cur, nxt)
+                        seen[cur] = seen[nxt] = 1
+                        cur = arc[nxt]
+                        if cur == start:
+                            break
+                    walks.append(tuple(walk))
+        return walks
+
     def boundary_trace(self, a: Optional[Mask] = None) -> BoundaryTrace:
         """Trace the boundary of the spanning subgraph with edge set a.
 
@@ -81,62 +150,43 @@ class RibbonGraph:
         arcs join b of one segment to a of the next; the two free sides of an
         untwisted edge join b/a across the edge, a twisted edge joins a-a and
         b-b.  Every endpoint then lies on exactly one arc and one side, and
-        the boundary components are the alternating cycles.
+        the boundary components are the alternating cycles.  Bare vertex
+        discs come first as empty walks; each cycle is then walked, side
+        first, from its first endpoint in vertex and rotation order.
         """
-        a = self._edge_set(a)
-        included = {h for i, e in enumerate(self.edges) if (a >> i) & 1 for h in e.ends}
-
-        walks: list[tuple[tuple[str, str], ...]] = []
-        arc: dict[tuple[str, str], tuple[str, str]] = {}
-        side: dict[tuple[str, str], tuple[str, str]] = {}
-        order: list[tuple[str, str]] = []
-
-        for rot in self.vertices:
-            kept = [h for h in rot if h in included]
-            if not kept:
-                walks.append(())
-                continue
-            k = len(kept)
-            for i, h in enumerate(kept):
-                nxt = kept[(i + 1) % k]
-                arc[(h, "b")] = (nxt, "a")
-                arc[(nxt, "a")] = (h, "b")
-                order.append((h, "a"))
-                order.append((h, "b"))
-        for i, e in enumerate(self.edges):
-            if not (a >> i) & 1:
-                continue
-            h1, h2 = e.ends
-            if e.twisted:
-                side[(h1, "a")] = (h2, "a")
-                side[(h2, "a")] = (h1, "a")
-                side[(h1, "b")] = (h2, "b")
-                side[(h2, "b")] = (h1, "b")
-            else:
-                side[(h1, "b")] = (h2, "a")
-                side[(h2, "a")] = (h1, "b")
-                side[(h2, "b")] = (h1, "a")
-                side[(h1, "a")] = (h2, "b")
-
-        seen: set[tuple[str, str]] = set()
-        for start in order:
-            if start in seen:
-                continue
-            walk = []
-            cur = start
-            use_side = True
-            while True:
-                walk.append(cur)
-                seen.add(cur)
-                cur = side[cur] if use_side else arc[cur]
-                use_side = not use_side
-                if cur == start and use_side:
-                    break
-            walks.append(tuple(walk))
-        return BoundaryTrace(len(walks), tuple(walks))
+        names = [(h, ab) for e in self.edges for h in e.ends for ab in ("a", "b")]
+        walks = tuple(tuple(names[x] for x in walk) for walk in self._walk_ends(a))
+        return BoundaryTrace(len(walks), walks)
 
     def boundary_components(self, a: Optional[Mask] = None) -> int:
-        return self.boundary_trace(a).components
+        return len(self._walk_ends(a))
+
+    def _quasi_trees(self) -> list[Mask]:
+        """The edge sets a, in increasing order, whose spanning subgraph has a
+        single boundary component.
+
+        The empty set qualifies iff there is one vertex.  Otherwise a bare
+        vertex disc is a boundary of its own, and with none the boundary is
+        one component iff the walk from one end covers all 4|a| ends.
+        """
+        ends = self._ends
+        side, incident = ends.side, ends.incident
+        arc = [0] * len(side)
+        found = [0] if len(incident) == 1 else []
+        for a in range(1, 1 << len(self.edges)):
+            if any(not inc & a for inc in incident):
+                continue
+            self._arcs(a, arc)
+            start = 4 * ((a & -a).bit_length() - 1)
+            cur, walked = start, 0
+            while True:
+                cur = arc[side[cur]]
+                walked += 2
+                if cur == start:
+                    break
+            if walked == 4 * a.bit_count():
+                found.append(a)
+        return found
 
     # -- derived structures -----------------------------------------------------
 
@@ -182,10 +232,7 @@ class RibbonGraph:
         if len(self.edges) > 16:
             raise ValueError("delta-matroid extraction is limited to 16 edges")
         ground = GroundSet(self.edge_labels)
-        fam = tuple(
-            a for a in range(1 << len(self.edges)) if self.boundary_components(a) == 1
-        )
-        return DeltaMatroid(ground, fam)
+        return DeltaMatroid(ground, tuple(self._quasi_trees()))
 
     def petrial(self, a: Optional[Mask] = None) -> "RibbonGraph":
         """Flip the twist sign of every edge in a (default: all edges)."""

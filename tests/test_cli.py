@@ -9,6 +9,7 @@ from dmx.cli import main
 from dmx.core import numbered_ground
 from dmx.formats import dump_dm
 from dmx.gf2 import delta_matroid_from_symmetric
+from dmx.ribbon import RibbonGraph
 from test_core import _random_symmetric
 
 DM = "ground: 1 2\nfeasible: {}\nfeasible: {1,2}\n"
@@ -308,3 +309,19 @@ def test_bad_arguments_exit_2():
     assert code == 2
     code, _, _ = run()
     assert code == 2
+
+
+def test_ribbon_to_dm_rejects_more_than_16_edges(tmp_path, monkeypatch):
+    def scan(self):
+        raise AssertionError("the subset scan started")
+
+    monkeypatch.setattr(RibbonGraph, "_quasi_trees", scan)
+    p = tmp_path / "big.rg"
+    labels = [str(i) for i in range(1, 18)]
+    rotation = " ".join(h for lab in labels for h in (lab + "a", lab + "b"))
+    edges = "".join("edge: %s %sa %sb +\n" % (lab, lab, lab) for lab in labels)
+    p.write_text("vertex: %s\n%s" % (rotation, edges))
+    code, out, err = run("ribbon", "to-dm", str(p))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "limited to 16 edges" in err and "Traceback" not in err

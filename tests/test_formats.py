@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dmx.core import DeltaMatroid, SetSystem, numbered_ground
@@ -14,6 +16,7 @@ from dmx.formats import (
 )
 from dmx.gf2 import Gf2Matrix, Gf2SymmetricMatrix
 from dmx.ribbon import RibbonEdge, RibbonGraph
+from test_ribbon import random_rotation_system
 
 DM_TEXT = """\
 # a comment
@@ -128,6 +131,10 @@ def test_parse_rg():
 def test_rg_roundtrip():
     g = parse_rg(RG_TEXT)
     assert parse_rg(dump_rg(g)) == g
+    rng = random.Random("dmx-ribbon-differential")
+    for _ in range(2000):
+        g = random_rotation_system(rng)
+        assert parse_rg(dump_rg(g)) == g, g
 
 
 def test_rg_parse_errors():

@@ -51,14 +51,29 @@ def test_principal_nonsingular():
 
 
 def test_principal_nonsingular_matches_compacted_submatrix():
+    """Every subset of all 4x4 matrices and of seeded random ones with
+    6 <= n <= 12, half of those with a zero diagonal."""
     from dmx.core import indices_of
     from dmx.verify import all_symmetric_matrices
+    from test_core import _random_symmetric
 
-    for a in all_symmetric_matrices(4):
-        for x in range(16):
+    rng = random.Random("dmx-principal-nonsingular")
+    matrices = list(all_symmetric_matrices(4))
+    for n in range(6, 13):
+        for zero_diagonal in (False, True):
+            a = _random_symmetric(n, rng)
+            if zero_diagonal:
+                a = Gf2SymmetricMatrix(tuple(row & ~(1 << i) for i, row in enumerate(a.rows)))
+            matrices.append(a)
+    singular = 0
+    for a in matrices:
+        for x in range(1 << a.order):
             idx = indices_of(x)
             sub = [sum(a.entry(i, j) << pos for pos, j in enumerate(idx)) for i in idx]
-            assert a.principal_nonsingular(x) == (gf2_rank(sub) == len(idx)), (a, x)
+            want = gf2_rank(sub) == len(idx)
+            assert a.principal_nonsingular(x) == want, (a, x)
+            singular += not want
+    assert singular > 10000
 
 
 def test_delta_matroid_from_symmetric():

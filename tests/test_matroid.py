@@ -112,6 +112,20 @@ def test_lower_upper_matroid():
     assert isinstance(low, Matroid) and isinstance(high, Matroid)
 
 
+def test_lower_upper_matroid_match_full_constructor():
+    """Both slices are built as already canonical; the full constructor
+    re-sorts and re-checks them."""
+    from dmx.verify import delta_matroids_exact
+
+    for n in range(5):
+        for d in delta_matroids_exact(n):
+            sizes = [m.bit_count() for m in d.family]
+            for got, size in ((lower_matroid(d), min(sizes)), (upper_matroid(d), max(sizes))):
+                want = Matroid(d.ground, tuple(m for m in d.family if m.bit_count() == size))
+                assert got == want and type(got) is type(want), d
+                assert got.family == want.family, d
+
+
 def test_delta_classification_uses_lower_matroid():
     d = DeltaMatroid.from_sets("12", [(), "12"])
     rep = classify_delta(d)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from dmx.core import exchange_violation
-from dmx.ribbon import RibbonEdge, RibbonGraph
+from dmx.ribbon import BoundaryTrace, RibbonEdge, RibbonGraph
+from dmx.verify import ribbon_corpus
 
 
 def edge(label, twisted=False):
@@ -167,3 +170,102 @@ def test_signed_traversal_matches_reference_oracles():
         if not nx.is_connected(multigraph):
             seen.add("disconnected")
     assert seen == {"no edges", "loop", "multi-edge", "disconnected"}
+
+
+def random_connected_rotation_system(rng, n_edges):
+    """A seeded connected signed rotation system: the first edges join each
+    new vertex to an earlier one, the rest have random endpoints."""
+    n_vertices = rng.randint(1, min(5, n_edges + 1))
+    rotations = [[] for _ in range(n_vertices)]
+    edges = []
+    for i in range(n_edges):
+        e = edge(str(i + 1), rng.random() < 0.5)
+        if i + 1 < n_vertices:
+            ends = (rng.randrange(i + 1), i + 1)
+        else:
+            ends = (rng.randrange(n_vertices), rng.randrange(n_vertices))
+        for h, v in zip(e.ends, ends):
+            rotations[v].append(h)
+        edges.append(e)
+    for rot in rotations:
+        rng.shuffle(rot)
+    return RibbonGraph(tuple(tuple(rot) for rot in rotations), tuple(edges))
+
+
+def _boundary_trace_reference(g, a):
+    """Boundary walks built from labelled (half-edge, end) tuples, one dict
+    lookup per step: the reference for the int-array kernels."""
+    included = {h for i, e in enumerate(g.edges) if (a >> i) & 1 for h in e.ends}
+    walks = []
+    arc = {}
+    side = {}
+    order = []
+    for rot in g.vertices:
+        kept = [h for h in rot if h in included]
+        if not kept:
+            walks.append(())
+            continue
+        k = len(kept)
+        for i, h in enumerate(kept):
+            nxt = kept[(i + 1) % k]
+            arc[(h, "b")] = (nxt, "a")
+            arc[(nxt, "a")] = (h, "b")
+            order.append((h, "a"))
+            order.append((h, "b"))
+    for i, e in enumerate(g.edges):
+        if not (a >> i) & 1:
+            continue
+        h1, h2 = e.ends
+        if e.twisted:
+            side[(h1, "a")] = (h2, "a")
+            side[(h2, "a")] = (h1, "a")
+            side[(h1, "b")] = (h2, "b")
+            side[(h2, "b")] = (h1, "b")
+        else:
+            side[(h1, "b")] = (h2, "a")
+            side[(h2, "a")] = (h1, "b")
+            side[(h2, "b")] = (h1, "a")
+            side[(h1, "a")] = (h2, "b")
+    seen = set()
+    for start in order:
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        use_side = True
+        while True:
+            walk.append(cur)
+            seen.add(cur)
+            cur = side[cur] if use_side else arc[cur]
+            use_side = not use_side
+            if cur == start and use_side:
+                break
+        walks.append(tuple(walk))
+    return BoundaryTrace(len(walks), tuple(walks))
+
+
+def _differential_graphs():
+    rng = random.Random("dmx-ribbon-differential")
+    graphs = [g for _, g in ribbon_corpus()]
+    graphs += [random_rotation_system(rng) for _ in range(2000)]
+    rng = random.Random("dmx-ribbon-kernels")
+    graphs += [random_connected_rotation_system(rng, m) for m in (8, 8, 9, 9, 10, 10)]
+    return graphs
+
+
+def test_boundary_kernels_match_reference():
+    """Trace, component count and quasi-tree scan against the tuple walk on
+    every subset of the corpus, 2000 random and six 8-10 edge graphs."""
+    subsets = quasi_trees = 0
+    for g in _differential_graphs():
+        single = []
+        for a in range(1 << len(g.edges)):
+            ref = _boundary_trace_reference(g, a)
+            assert g.boundary_trace(a) == ref, (g, a)
+            assert g.boundary_components(a) == ref.components, (g, a)
+            if ref.components == 1:
+                single.append(a)
+        assert g._quasi_trees() == single, g
+        subsets += 1 << len(g.edges)
+        quasi_trees += len(single)
+    assert subsets > 20000 and quasi_trees > 2000
