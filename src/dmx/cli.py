@@ -210,8 +210,8 @@ def cmd_enumerate(args) -> int:
         info = verify.enumerate_delta_matroids(args.n, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    for key in ("n", "mode", "total", "even", "binary", "bipartite", "eulerian"):
-        print("%s: %s" % (key, info[key]))
+    for key, value in info.items():
+        print("%s: %s" % (key, value))
     return 0
 
 

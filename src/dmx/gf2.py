@@ -3,7 +3,6 @@ vector matroids, and the binary-representability decision."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -11,7 +10,6 @@ from .core import (
     DeltaMatroid,
     GroundSet,
     Mask,
-    apply_permutation,
     canonical_masks,
     indices_of,
     numbered_ground,
@@ -191,9 +189,8 @@ def is_binary(d: DeltaMatroid) -> BinaryCertificate:
     d is isomorphic to some D(A), then every normal twist of d carries a
     strong representation (representability transfers between normal twists),
     and the representing matrix of a normal delta-matroid is forced by its
-    size-<=2 feasible sets.  The reference `_exhaustive_search`, which tries
-    all feasible twists and all ground relabelings, cross-validates this
-    shortcut in the tests.
+    size-<=2 feasible sets.  The tests cross-validate this shortcut against
+    a reference search over all feasible twists and all ground relabelings.
     """
     if d.ground.size > BINARY_MAX_N:
         raise ValueError("binarity test is limited to ground size %d" % BINARY_MAX_N)
@@ -203,25 +200,3 @@ def is_binary(d: DeltaMatroid) -> BinaryCertificate:
     if bad is None:
         return BinaryCertificate(True, f0, cand, None)
     return BinaryCertificate(False, f0, None, bad)
-
-
-def _exhaustive_search(d: DeltaMatroid) -> Optional[BinaryCertificate]:
-    n = d.ground.size
-    if n > 6:
-        raise ValueError("exhaustive binarity search is limited to ground size 6")
-    for f in d.family:
-        normal = d.twist(f)
-        for perm in itertools.permutations(range(n)):
-            permuted = DeltaMatroid(
-                normal.ground, tuple(apply_permutation(m, perm) for m in normal.family)
-            )
-            cand, bad = _representation_mismatch(permuted)
-            if bad is None:
-                # pull the matrix back through the permutation so that
-                # D(matrix) equals the unpermuted normal twist
-                rows = tuple(
-                    sum(cand.entry(perm[i], perm[j]) << j for j in range(n))
-                    for i in range(n)
-                )
-                return BinaryCertificate(True, f, Gf2SymmetricMatrix(rows), None)
-    return None

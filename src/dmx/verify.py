@@ -173,18 +173,76 @@ def fmt_system(s: SetSystem) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _split_table(k: int, e: int) -> list[tuple[int, int]]:
+    """Entry h, for every indicator code h of a family on k elements: the codes
+    of its sets without e and of its sets with e, e removed from both."""
+    low = (1 << e) - 1
+    # per mask on k elements: which side of e it lies on, its bit in that part
+    moves = [(m >> e & 1, 1 << ((m & low) | (m >> 1 & ~low))) for m in range(1 << k)]
+    table = []
+    for h in range(1 << (1 << k)):
+        out = [0, 0]
+        for m, (side, bit) in enumerate(moves):
+            if h >> m & 1:
+                out[side] |= bit
+        table.append((out[0], out[1]))
+    return table
+
+
 @lru_cache(maxsize=None)
 def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
-    """All delta-matroids on a ground set of size n, by brute force over
-    every proper family with the full axiom check."""
+    """All delta-matroids on a ground set of size n, in ascending order of
+    their indicator code (bit m set when the family contains mask m).
+
+    Built by one-element extension.  The sets without an element e and the
+    sets with e, e removed, are the deletion and the contraction by e, so each
+    part is empty or a delta-matroid on n - 1 elements (Bouchet, "Greedoids
+    and delta-matroids", 1987).  A candidate is a pair (c0, c1) of codes from
+    DM(n - 1) and the empty code, split at the last element: its code is
+    c0 | c1 << 2^(n-1).  It is dropped unless its split at every other
+    element also lands there, and only the survivors get the full exchange
+    check.  At n = 4 that is 24,335 candidates, 6,239 survivors and 5,959
+    delta-matroids.
+    """
     if not 0 <= n <= 4:
         raise ValueError("exhaustive delta-matroid enumeration is limited to 0 <= n <= 4")
     g = numbered_ground(n)
-    out = []
-    for code in range(1, 1 << (1 << n)):
-        fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
-        if exchange_violation_masks(fam) is None:
-            out.append(DeltaMatroid(g, fam))
+    if n == 0:
+        # the one nonempty family on the empty ground set, {{}}
+        out = [DeltaMatroid(g, (0,))]
+        candidates, split_rejected, exchange_rejected = 1, 0, 0
+    else:
+        half = 1 << (n - 1)
+        quarter = half >> 1
+        parts = [0] + [sum(1 << m for m in d.family) for d in delta_matroids_exact(n - 1)]
+        allowed = set(parts)
+        splits = [_split_table(n - 1, e) for e in range(n - 1)]
+        out = []
+        candidates = len(parts) ** 2 - 1
+        split_rejected = exchange_rejected = 0
+        # c1 outer and c0 inner, both ascending: ascending code
+        for c1 in parts:
+            highs = [(t[c1][0] << quarter, t[c1][1] << quarter) for t in splits]
+            for c0 in parts:
+                if not c0 | c1:
+                    continue
+                for t, (h0, h1) in zip(splits, highs):
+                    l0, l1 = t[c0]
+                    if (l0 | h0) not in allowed or (l1 | h1) not in allowed:
+                        split_rejected += 1
+                        break
+                else:
+                    code = c0 | c1 << half
+                    fam = tuple(m for m in range(1 << n) if code >> m & 1)
+                    if exchange_violation_masks(fam) is None:
+                        out.append(DeltaMatroid(g, fam))
+                    else:
+                        exchange_rejected += 1
+    logger.info(
+        "exhaustive delta-matroid corpus: n=%d candidates=%d split_rejected=%d "
+        "exchange_rejected=%d kept=%d",
+        n, candidates, split_rejected, exchange_rejected, len(out),
+    )
     return tuple(out)
 
 
@@ -784,16 +842,18 @@ def run_suite(
 def enumerate_delta_matroids(n: int, seed: int = 0, sample_count: int = 2000) -> dict:
     """Catalogue of delta-matroids on n elements with property counts.
 
-    Exhaustive for n <= 4; seeded sampling for n = 5, 6.
+    Exhaustive for n <= 4; seeded sampling for n = 5, 6.  A sample draws with
+    repetition, so its counts are over draws, and it also reports how many
+    distinct delta-matroids it holds.
     """
     if not 0 <= n <= 6:
         raise ValueError("enumeration is limited to 0 <= n <= 6")
     if n <= 4:
         dms: Sequence[DeltaMatroid] = delta_matroids_exact(n)
-        mode = "exhaustive"
+        head: dict = {"n": n, "mode": "exhaustive", "total": len(dms)}
     else:
         dms = random_delta_matroids(n, seed, sample_count)
-        mode = "sample"
+        head = {"n": n, "mode": "sample", "total": len(dms), "distinct": len(set(dms))}
     counts = {"even": 0, "binary": 0, "bipartite": 0, "eulerian": 0}
     for d in dms:
         if d.parity() == EVEN:
@@ -804,4 +864,4 @@ def enumerate_delta_matroids(n: int, seed: int = 0, sample_count: int = 2000) ->
             counts["bipartite"] += 1
         if is_eulerian_delta(d):
             counts["eulerian"] += 1
-    return {"n": n, "mode": mode, "total": len(dms), **counts}
+    return {**head, **counts}

@@ -12,7 +12,7 @@ import pytest
 
 import dmx
 from dmx.core import DeltaMatroid, SetSystem, numbered_ground
-from dmx.gf2 import _exhaustive_search, is_binary
+from dmx.gf2 import is_binary
 from dmx.matroid import (
     Matroid,
     is_bipartite_delta,
@@ -30,6 +30,8 @@ from dmx.verify import (
     render_text,
     ribbon_corpus,
 )
+
+from test_gf2 import _exhaustive_search
 
 
 def _report(number: int, body) -> None:

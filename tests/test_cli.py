@@ -194,6 +194,10 @@ def test_enumerate(files):
     code, out, _ = run("enumerate", "--n", "2")
     assert code == 0
     assert "total: 15" in out and "mode: exhaustive" in out
+    assert "distinct" not in out
+    code, out, _ = run("enumerate", "--n", "5", "--seed", "0")
+    assert code == 0
+    assert "mode: sample\ntotal: 2000\ndistinct: 898\n" in out
 
 
 def test_enumerate_out_of_range():

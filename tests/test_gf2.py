@@ -1,18 +1,45 @@
+import itertools
 import random
+from typing import Optional
 
 import pytest
 
-from dmx.core import DeltaMatroid, family_sort_key, numbered_ground
+from dmx.core import DeltaMatroid, apply_permutation, family_sort_key, numbered_ground
 from dmx.gf2 import (
+    BinaryCertificate,
     Gf2Matrix,
     Gf2SymmetricMatrix,
-    _exhaustive_search,
+    _representation_mismatch,
     column_matroid,
     delta_matroid_from_symmetric,
     gf2_rank,
     is_binary,
     reconstruct_candidate,
 )
+
+
+def _exhaustive_search(d: DeltaMatroid) -> Optional[BinaryCertificate]:
+    """Reference binarity decision: try every feasible twist and every ground
+    relabeling for a strong representation."""
+    n = d.ground.size
+    if n > 6:
+        raise ValueError("exhaustive binarity search is limited to ground size 6")
+    for f in d.family:
+        normal = d.twist(f)
+        for perm in itertools.permutations(range(n)):
+            permuted = DeltaMatroid(
+                normal.ground, tuple(apply_permutation(m, perm) for m in normal.family)
+            )
+            cand, bad = _representation_mismatch(permuted)
+            if bad is None:
+                # pull the matrix back through the permutation so that
+                # D(matrix) equals the unpermuted normal twist
+                rows = tuple(
+                    sum(cand.entry(perm[i], perm[j]) << j for j in range(n))
+                    for i in range(n)
+                )
+                return BinaryCertificate(True, f, Gf2SymmetricMatrix(rows), None)
+    return None
 
 
 def test_gf2_rank():

@@ -4,7 +4,7 @@ delta-matroids."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmx.core import indices_of
+from dmx.core import exchange_violation_masks, indices_of
 from dmx.verify import random_delta_matroids
 
 # The same examples on every run keep the suite deterministic; no example
@@ -53,3 +53,23 @@ def test_elementwise_minors_in_any_order(case, data):
     want = d.minor(delete=delete, contract=contract)
     assert type(cur) is type(want)
     assert cur == want
+
+
+@deterministic
+@given(delta_matroids(min_n=1), st.data())
+def test_split_at_an_element_is_deletion_and_contraction(d, data):
+    # the lemma the exhaustive corpus is built on: both sides of a split are
+    # empty or delta-matroids on one element fewer
+    e = data.draw(st.integers(0, d.ground.size - 1))
+    bit = 1 << e
+    low = bit - 1
+
+    def drop(m):
+        return (m & low) | (m >> 1 & ~low)
+
+    without = {drop(m) for m in d.family if not m & bit}
+    with_e = {drop(m) for m in d.family if m & bit}
+    for part, minor in ((without, d.delete(e)), (with_e, d.contract(e))):
+        if part:
+            assert part == set(minor.family)
+            assert exchange_violation_masks(tuple(part)) is None

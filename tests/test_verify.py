@@ -1,7 +1,9 @@
+import logging
+
 import pytest
 
 from dmx import verify
-from dmx.core import exchange_violation
+from dmx.core import DeltaMatroid, exchange_violation, exchange_violation_masks, numbered_ground
 from dmx.matroid import upper_matroid
 from dmx.verify import (
     Counterexample,
@@ -23,10 +25,46 @@ from dmx.verify import (
 )
 
 
+def _delta_matroids_reference(n):
+    """Every delta-matroid on n elements by brute force: the full axiom check
+    on every nonempty family, in ascending order of its indicator code."""
+    g = numbered_ground(n)
+    out = []
+    for code in range(1, 1 << (1 << n)):
+        fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
+        if exchange_violation_masks(fam) is None:
+            out.append(DeltaMatroid(g, fam))
+    return tuple(out)
+
+
 def test_exhaustive_counts():
-    # oracle: brute-force axiom check over every proper family
+    # the numbers of delta-matroids on 0..3 labelled elements; the corpora
+    # themselves are compared with the brute-force reference below
     assert [len(delta_matroids_exact(n)) for n in range(4)] == [1, 3, 15, 155]
     assert len(delta_matroids_up_to(2)) == 1 + 3 + 15
+
+
+def test_extension_corpus_matches_brute_force():
+    for n, count in enumerate((1, 3, 15, 155, 5959)):
+        got = delta_matroids_exact(n)
+        want = _delta_matroids_reference(n)
+        assert len(got) == len(want) == count
+        assert [(type(d), d.ground.labels, d.family) for d in got] == [
+            (type(d), d.ground.labels, d.family) for d in want
+        ]
+    with pytest.raises(ValueError, match="0 <= n <= 4"):
+        delta_matroids_exact(5)
+
+
+def test_extension_corpus_logs_its_rejections(caplog):
+    # the uncached function, so the record is emitted whatever ran before;
+    # it may also build and log the smaller corpora
+    with caplog.at_level(logging.INFO, logger="dmx.verify"):
+        delta_matroids_exact.__wrapped__(4)
+    assert [r.getMessage() for r in caplog.records if " n=4 " in r.getMessage()] == [
+        "exhaustive delta-matroid corpus: n=4 candidates=24335 split_rejected=18096 "
+        "exchange_rejected=280 kept=5959"
+    ]
 
 
 def test_exhaustive_families_are_valid_and_distinct():
@@ -212,6 +250,8 @@ def test_enumerate_exhaustive():
 def test_enumerate_sampled_and_bounds():
     info = enumerate_delta_matroids(5, seed=1, sample_count=30)
     assert info["mode"] == "sample"
+    # counts are over draws, which can repeat
     assert info["total"] == 30
+    assert info["distinct"] == 29
     with pytest.raises(ValueError):
         enumerate_delta_matroids(7)
