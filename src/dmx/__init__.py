@@ -7,13 +7,10 @@ from .core import (
     DeltaMatroid,
     GroundSet,
     ImproperSystemError,
-    LoopComplementResult,
     Mask,
     SetSystem,
     SymmetricExchangeError,
-    exchange_violation,
     exchange_violation_masks,
-    loop_complement_checked,
     numbered_ground,
     validate_delta_matroid,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "Gf2SymmetricMatrix",
     "GroundSet",
     "ImproperSystemError",
-    "LoopComplementResult",
     "Mask",
     "Matroid",
     "MatroidError",
@@ -62,13 +58,11 @@ __all__ = [
     "classify_matroid",
     "column_matroid",
     "delta_matroid_from_symmetric",
-    "exchange_violation",
     "exchange_violation_masks",
     "gf2_rank",
     "is_binary",
     "is_bipartite_delta",
     "is_eulerian_delta",
-    "loop_complement_checked",
     "lower_matroid",
     "numbered_ground",
     "upper_matroid",

@@ -78,14 +78,15 @@ def _check_classify_size(path: str, n: int) -> None:
         )
 
 
-def _parse_set(system: SetSystem, spec: Optional[str]) -> Mask:
-    """Comma-separated labels to a subset mask; empty/missing means the empty set."""
-    if not spec:
-        return 0
-    try:
-        return system.ground.mask(lab.strip() for lab in spec.split(","))
-    except KeyError as exc:
-        raise CliError("--set: %s" % exc.args[0]) from None
+def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
+    """Comma-separated labels to a mask over ``labels``; "" is the empty set."""
+    mask = 0
+    for lab in spec.split(",") if spec else ():
+        lab = lab.strip()
+        if lab not in labels:
+            raise CliError("--set: unknown %s label %r" % (kind, lab))
+        mask |= 1 << labels.index(lab)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def cmd_op(args) -> int:
             raise CliError("dual takes no --set argument")
         result: SetSystem = d.dual()
     else:
-        a = _parse_set(d, args.set)
+        a = _parse_set(d.ground.labels, args.set, "ground")
         if args.operation == "twist":
             result = d.twist(a)
         elif args.operation == "lc":
@@ -236,6 +237,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ribbon(args) -> int:
+    if args.set is not None and args.action != "petrial":
+        raise CliError("ribbon %s takes no --set argument" % args.action)
     graph = _parse_path(parse_rg, args.file)
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))
@@ -245,16 +248,8 @@ def cmd_ribbon(args) -> int:
         print("boundary-components: %d" % graph.boundary_components())
         return 0
     if args.action == "petrial":
-        if args.set:
-            labels = [lab.strip() for lab in args.set.split(",")]
-            order = {e.label: i for i, e in enumerate(graph.edges)}
-            mask = 0
-            for lab in labels:
-                if lab not in order:
-                    raise CliError("--set: unknown edge label %r" % lab)
-                mask |= 1 << order[lab]
-        else:
-            mask = None
+        # without --set the Petrial twists every edge
+        mask = None if args.set is None else _parse_set(graph.edge_labels, args.set, "edge")
         print(dump_rg(graph.petrial(mask)), end="")
         return 0
     if args.action == "to-dm":
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply an operation to a delta-matroid file")
     p.add_argument("operation", choices=("twist", "lc", "dual", "delete", "contract"))
-    p.add_argument("--set", default=None, help="comma-separated ground labels")
+    p.add_argument("--set", default="", help="comma-separated ground labels")
     p.add_argument("file")
     p.set_defaults(func=cmd_op)
 
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ribbon", help="ribbon graph operations")
     p.add_argument("action", choices=("classify", "petrial", "to-dm"))
-    p.add_argument("--set", default=None, help="comma-separated edge labels")
+    p.add_argument("--set", default=None, help="comma-separated edge labels (petrial only)")
     p.add_argument("file")
     p.set_defaults(func=cmd_ribbon)
 

@@ -205,9 +205,6 @@ class SetSystem:
     def render_set(self, mask: Mask) -> str:
         return "{%s}" % ",".join(self.ground.labels_of(mask))
 
-    def labeled_family(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(self.ground.labels_of(m)) for m in self.family)
-
     # -- element predicates ------------------------------------------------
 
     def _element_bit(self, e: int) -> Mask:
@@ -252,7 +249,7 @@ class SetSystem:
         """Toggle F+e membership element by element over a; order-independent.
 
         The result need not satisfy the exchange axiom, so it is returned as a
-        plain SetSystem; use loop_complement_checked for a validity flag.
+        plain SetSystem; validate_delta_matroid checks the axiom.
         """
         self._check_mask(a)
         fam = set(self.family)
@@ -298,7 +295,7 @@ class SetSystem:
     def restrict(self, a: Mask) -> "SetSystem":
         return self.minor(delete=self.ground.full_mask & ~a)
 
-    # -- direct sum and isomorphism -------------------------------------------
+    # -- direct sum ------------------------------------------------------------
 
     def direct_sum(self, other: "SetSystem") -> "SetSystem":
         clash = set(self.ground.labels) & set(other.ground.labels)
@@ -314,25 +311,6 @@ class SetSystem:
         else:
             cls = SetSystem
         return cls(ground, fam)
-
-    def isomorphism(self, other: "SetSystem") -> Optional[dict[str, str]]:
-        """A ground bijection carrying this family onto the other, or None."""
-        n = self.ground.size
-        if n > 8 or other.ground.size > 8:
-            raise ValueError("isomorphism search is limited to ground size 8")
-        if n != other.ground.size or len(self.family) != len(other.family):
-            return None
-        if sorted(m.bit_count() for m in self.family) != sorted(
-            m.bit_count() for m in other.family
-        ):
-            return None
-        target = other.members
-        for perm in itertools.permutations(range(n)):
-            if all(apply_permutation(m, perm) in target for m in self.family):
-                return {
-                    self.ground.labels[i]: other.ground.labels[perm[i]] for i in range(n)
-                }
-        return None
 
 
 def exchange_violation_masks(family: Sequence[Mask]) -> Optional[tuple[Mask, Mask, int]]:
@@ -382,10 +360,6 @@ def exchange_violation_masks(family: Sequence[Mask]) -> Optional[tuple[Mask, Mas
     return None
 
 
-def exchange_violation(system: SetSystem) -> Optional[tuple[Mask, Mask, int]]:
-    return exchange_violation_masks(system.family)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class DeltaMatroid(SetSystem):
     """A proper set system satisfying the symmetric exchange axiom.
@@ -413,26 +387,4 @@ def validate_delta_matroid(system: SetSystem) -> DeltaMatroid:
     witness = exchange_violation_masks(system.family)
     if witness is not None:
         raise SymmetricExchangeError(system, *witness)
-    return DeltaMatroid(system.ground, system.family)
-
-
-@dataclass(frozen=True)
-class LoopComplementResult:
-    """Loop complementation output together with its exchange-axiom status."""
-
-    system: SetSystem
-    violation: Optional[tuple[Mask, Mask, int]]
-
-    @property
-    def is_delta_matroid(self) -> bool:
-        return self.violation is None
-
-    def delta_matroid(self) -> DeltaMatroid:
-        if self.violation is not None:
-            raise SymmetricExchangeError(self.system, *self.violation)
-        return DeltaMatroid(self.system.ground, self.system.family)
-
-
-def loop_complement_checked(system: SetSystem, a: Mask) -> LoopComplementResult:
-    out = system.loop_complement(a)
-    return LoopComplementResult(out, exchange_violation_masks(out.family))
+    return DeltaMatroid._from_canonical(system.ground, system.family)

@@ -72,7 +72,7 @@ class Matroid(DeltaMatroid):
                 "base exchange fails at B1=%s, B2=%s, u=%s"
                 % (system.render_set(x), system.render_set(y), system.ground.labels[u])
             )
-        return cls(system.ground, system.family)
+        return cls._from_canonical(system.ground, system.family)
 
     # -- independence ----------------------------------------------------------
 
@@ -92,9 +92,6 @@ class Matroid(DeltaMatroid):
     def dual(self) -> "Matroid":
         """Bases are the complements of bases; coincides with the twist by E."""
         return Matroid._from_canonical(self.ground, self.twist(self.ground.full_mask).family)
-
-    def cocircuits(self) -> tuple[Mask, ...]:
-        return self.dual().circuits
 
     # -- Eulerian / bipartite --------------------------------------------------
 

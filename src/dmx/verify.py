@@ -25,8 +25,9 @@ from .core import (
     DeltaMatroid,
     Mask,
     SetSystem,
-    exchange_violation,
+    apply_permutation,
     exchange_violation_masks,
+    indices_of,
     numbered_ground,
 )
 from .gf2 import (
@@ -475,9 +476,11 @@ def _min_deletion(d: DeltaMatroid) -> list[str]:
 
 
 def _qualifying_circuit(d: DeltaMatroid) -> bool:
-    dmin = lower_matroid(d)
-    for c in dmin.circuits:
-        if frozenset(d.ground.labels_of(c)) in d.restrict(c).labeled_family():
+    """Some circuit C of the lower matroid is feasible in D restricted to C,
+    i.e. the restriction's canonical family ends with its full ground set."""
+    for c in lower_matroid(d).circuits:
+        r = d.restrict(c)
+        if r.family[-1] == r.ground.full_mask:
             return True
     return False
 
@@ -511,22 +514,20 @@ def _welsh_duality(m: Matroid) -> list[str]:
     return v
 
 
-def _same_up_to_ground_order(a: SetSystem, b: SetSystem) -> bool:
-    return set(a.ground.labels) == set(b.ground.labels) and a.labeled_family() == b.labeled_family()
-
-
 def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
     """Lower and upper matroids of a twisted matroid decompose as direct sums
     of minors of the matroid and its dual."""
     m, a = pair
     ac = m.ground.full_mask ^ a
     d = m.twist(a)
+    # the sums list A^c first, then A: bit j of a sum is element order[j] of m
+    order = indices_of(ac) + indices_of(a)
     v = []
     low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
-    if not _same_up_to_ground_order(lower_matroid(d), low):
+    if {apply_permutation(b, order) for b in low.family} != lower_matroid(d).members:
         v.append("%s * %s :: lower decomposition fails" % (fmt_system(m), m.render_set(a)))
     high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
-    if not _same_up_to_ground_order(upper_matroid(d), high):
+    if {apply_permutation(b, order) for b in high.family} != upper_matroid(d).members:
         v.append("%s * %s :: upper decomposition fails" % (fmt_system(m), m.render_set(a)))
     return v
 
@@ -536,17 +537,18 @@ def _circuit_contraction(m: Matroid) -> list[str]:
     circuit a circuit or a disjoint union of exactly two circuits."""
     v = []
     for c in m.circuits:
-        labels_c = frozenset(m.ground.labels_of(c))
         for e in range(m.ground.size):
             if (c >> e) & 1:
                 continue
             mc = m.contract(e)
-            circ = [frozenset(mc.ground.labels_of(x)) for x in mc.circuits]
-            if labels_c in circ:
+            # c on the ground of m / e: the bits above e move down by one
+            low = (1 << e) - 1
+            sc = c & low | (c >> 1) & ~low
+            if sc in mc.circuits:
                 continue
-            parts = [x for x in circ if x <= labels_c]
+            parts = [x for x in mc.circuits if not x & ~sc]
             if any(
-                not x & y and (x | y) == labels_c
+                not x & y and (x | y) == sc
                 for i, x in enumerate(parts)
                 for y in parts[i + 1 :]
             ):
@@ -727,7 +729,7 @@ def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     name, g = item
     v = []
     d = g.delta_matroid()
-    if exchange_violation(d) is not None:
+    if exchange_violation_masks(d.family) is not None:
         v.append("%s :: quasi-tree family violates symmetric exchange" % name)
     orientable = g.is_orientable()
     if (d.parity() == EVEN) != orientable:

@@ -7,7 +7,7 @@ import pytest
 from dmx import verify
 from dmx.cli import main
 from dmx.core import numbered_ground
-from dmx.formats import dump_dm
+from dmx.formats import dump_dm, dump_rg, parse_rg
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.ribbon import RibbonGraph
 from test_core import _random_symmetric
@@ -292,7 +292,24 @@ def test_ribbon_petrial(files):
     assert "edge: 1 1a 1b -" in out
     assert "edge: 2 2a 2b +" in out
     code, _, err = run("ribbon", "petrial", "--set", "9", files["g.rg"])
-    assert code == 2
+    assert code == 2 and "unknown edge label '9'" in err
+
+
+def test_ribbon_petrial_empty_set_is_identity(files):
+    # an empty --set twists no edge, as "op twist --set ''" twists by the empty set
+    code, out, _ = run("ribbon", "petrial", "--set", "", files["g.rg"])
+    assert code == 0
+    assert out == dump_rg(parse_rg(RG))
+    code, out, _ = run("ribbon", "petrial", files["g.rg"])
+    assert "edge: 1 1a 1b -" in out and "edge: 2 2a 2b -" in out
+
+
+@pytest.mark.parametrize("action", ["classify", "to-dm"])
+def test_ribbon_set_only_for_petrial(files, action):
+    for spec in ("zz", "1", ""):
+        code, out, err = run("ribbon", action, "--set", spec, files["g.rg"])
+        assert code == 2 and out == ""
+        assert err == "error: ribbon %s takes no --set argument\n" % action
 
 
 def test_ribbon_to_dm(files):

@@ -13,11 +13,9 @@ from dmx.core import (
     SymmetricExchangeError,
     canonical_masks,
     canonical_table,
-    exchange_violation,
     exchange_violation_masks,
     family_sort_key,
     indices_of,
-    loop_complement_checked,
     mask_of,
     numbered_ground,
     validate_delta_matroid,
@@ -101,16 +99,17 @@ def test_render_and_labeled_family():
     d = dm("abc", ["ab", "ac"])
     assert d.render_set(0b011) == "{a,b}"
     assert d.render_set(0) == "{}"
-    assert d.labeled_family() == {frozenset("ab"), frozenset("ac")}
+    assert d.ground.labels == ("a", "b", "c")
+    assert d.family == (0b011, 0b101)
 
 
 def test_exchange_axiom_validation():
     good = SetSystem.from_sets("12", [(), "12"])
-    assert exchange_violation(good) is None
+    assert exchange_violation_masks(good.family) is None
     assert isinstance(validate_delta_matroid(good), DeltaMatroid)
 
     bad = SetSystem.from_sets("123", [(), "123"])
-    witness = exchange_violation(bad)
+    witness = exchange_violation_masks(bad.family)
     assert witness == (0b000, 0b111, 0)
     with pytest.raises(SymmetricExchangeError) as exc_info:
         validate_delta_matroid(bad)
@@ -260,12 +259,13 @@ def test_loop_complement_definition():
 
 
 def test_loop_complement_can_break_exchange():
-    d = dm("123", [(), "12", "13", "23", "123"])
-    res = loop_complement_checked(d, 0b111)
-    assert res.is_delta_matroid == (exchange_violation(res.system) is None)
-    if not res.is_delta_matroid:
-        with pytest.raises(SymmetricExchangeError):
-            res.delta_matroid()
+    d = dm("123", [(), "1", "2", "3", "12", "13", "23"])
+    out = d.loop_complement(0b001)
+    assert type(out) is SetSystem
+    assert out == SetSystem.from_sets("123", [(), "2", "3", "23", "123"])
+    assert exchange_violation_masks(out.family) is not None
+    with pytest.raises(SymmetricExchangeError):
+        validate_delta_matroid(out)
 
 
 def test_delete_contract_conventions():
@@ -443,20 +443,11 @@ def test_direct_sum():
     b = dm("ab", [(), "ab"])
     s = a.direct_sum(b)
     assert s.ground.labels == ("1", "2", "a", "b")
-    assert s.labeled_family() == {
-        frozenset("1"), frozenset("2"),
-        frozenset("1ab"), frozenset("2ab"),
-    }
+    # a's sets on bits 0-1, b's sets shifted onto bits 2-3
+    assert s.family == (0b0001, 0b0010, 0b1101, 0b1110)
     assert isinstance(s, DeltaMatroid)
     with pytest.raises(ValueError):
         a.direct_sum(dm("13", ["1"]))
-
-
-def test_isomorphism():
-    a = dm("12", ["1"])
-    b = dm("xy", ["y"])
-    assert a.isomorphism(b) == {"1": "y", "2": "x"}
-    assert a.isomorphism(dm("xy", [(), "xy"])) is None
 
 
 def test_mask_of_roundtrip():

@@ -1,10 +1,12 @@
 """Property tests of the minor and twist identities on seeded random
-delta-matroids."""
+delta-matroids, and of the file-format round trips."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmx.core import exchange_violation_masks, indices_of
+from dmx.formats import dump_dm, dump_gf2, parse_dm, parse_gf2
+from dmx.gf2 import Gf2SymmetricMatrix
 from dmx.verify import random_delta_matroids
 
 # The same examples on every run keep the suite deterministic; no example
@@ -16,6 +18,18 @@ deterministic = settings(derandomize=True, database=None, deadline=None)
 def delta_matroids(draw, min_n=0):
     n = draw(st.integers(min_n, 8))
     return random_delta_matroids(n, draw(st.integers(0, 10**6)), 1)[0]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 8))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.booleans()):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Gf2SymmetricMatrix(tuple(rows))
 
 
 @st.composite
@@ -73,3 +87,15 @@ def test_split_at_an_element_is_deletion_and_contraction(d, data):
         if part:
             assert part == set(minor.family)
             assert exchange_violation_masks(tuple(part)) is None
+
+
+@deterministic
+@given(delta_matroids())
+def test_dm_file_round_trip(d):
+    assert parse_dm(dump_dm(d)).system == d
+
+
+@deterministic
+@given(symmetric_matrices())
+def test_gf2_file_round_trip(a):
+    assert parse_gf2(dump_gf2(a)) == a

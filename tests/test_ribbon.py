@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmx.core import exchange_violation
+from dmx.core import exchange_violation_masks
 from dmx.ribbon import BoundaryTrace, RibbonEdge, RibbonGraph
 from dmx.verify import ribbon_corpus
 
@@ -65,7 +65,7 @@ def test_delta_matroid_torus_bouquet():
     d = g.delta_matroid()
     assert d.ground.labels == ("1", "2")
     assert d.family == (0b00, 0b11)
-    assert exchange_violation(d) is None
+    assert exchange_violation_masks(d.family) is None
 
 
 def test_delta_matroid_plane_theta_is_spanning_trees():

@@ -3,15 +3,17 @@ import logging
 import pytest
 
 from dmx import verify
-from dmx.core import DeltaMatroid, exchange_violation, exchange_violation_masks, numbered_ground
-from dmx.matroid import upper_matroid
+from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, numbered_ground
+from dmx.matroid import Matroid, lower_matroid, upper_matroid
 from dmx.verify import (
     Counterexample,
     VerificationReport,
     SUITE,
     all_symmetric_matrices,
     binary_delta_corpus_exact,
+    binary_delta_corpus_up_to,
     binary_matroids_exact,
+    binary_matroids_up_to,
     delta_matroids_exact,
     delta_matroids_up_to,
     enumerate_delta_matroids,
@@ -70,7 +72,7 @@ def test_extension_corpus_logs_its_rejections(caplog):
 def test_exhaustive_families_are_valid_and_distinct():
     seen = set()
     for d in delta_matroids_exact(3):
-        assert exchange_violation(d) is None
+        assert exchange_violation_masks(d.family) is None
         assert d.family not in seen
         seen.add(d.family)
 
@@ -85,7 +87,7 @@ def test_binary_corpus_is_deduplicated_and_valid():
     fams = [d.family for d in corpus]
     assert len(fams) == len(set(fams))
     for d in corpus:
-        assert exchange_violation(d) is None
+        assert exchange_violation_masks(d.family) is None
 
 
 def test_binary_matroid_corpus():
@@ -116,7 +118,7 @@ def test_random_generator_is_seeded_and_valid():
     assert a == b
     assert a != random_delta_matroids(5, 4, 50)
     for d in a:
-        assert exchange_violation(d) is None
+        assert exchange_violation_masks(d.family) is None
 
 
 def test_ribbon_corpus_coverage():
@@ -212,6 +214,119 @@ def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
     for a, b in zip(one, three):
         assert a.counterexamples and not a.verdict
         assert a.counterexamples == b.counterexamples
+
+
+# The label-set versions of three checks, kept as references for the mask
+# versions in dmx.verify.  They look lower_matroid, upper_matroid and
+# fmt_system up on the module, so a mutant patched in there reaches both.
+
+
+def _labeled_family(s):
+    return frozenset(frozenset(s.ground.labels_of(m)) for m in s.family)
+
+
+def _same_up_to_ground_order(a, b):
+    return set(a.ground.labels) == set(b.ground.labels) and _labeled_family(a) == _labeled_family(b)
+
+
+def _twist_decomposition_reference(pair):
+    m, a = pair
+    ac = m.ground.full_mask ^ a
+    d = m.twist(a)
+    v = []
+    low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
+    if not _same_up_to_ground_order(verify.lower_matroid(d), low):
+        v.append("%s * %s :: lower decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+    high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
+    if not _same_up_to_ground_order(verify.upper_matroid(d), high):
+        v.append("%s * %s :: upper decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+    return v
+
+
+def _qualifying_circuit_reference(d):
+    dmin = verify.lower_matroid(d)
+    for c in dmin.circuits:
+        if frozenset(d.ground.labels_of(c)) in _labeled_family(d.restrict(c)):
+            return True
+    return False
+
+
+def _odd_circuit_reference(d):
+    if (d.parity() == ODD) != _qualifying_circuit_reference(d):
+        return ["%s :: odd-circuit equivalence fails" % verify.fmt_system(d)]
+    return []
+
+
+def _circuit_contraction_reference(m):
+    v = []
+    for c in m.circuits:
+        labels_c = frozenset(m.ground.labels_of(c))
+        for e in range(m.ground.size):
+            if (c >> e) & 1:
+                continue
+            mc = m.contract(e)
+            circ = [frozenset(mc.ground.labels_of(x)) for x in mc.circuits]
+            if labels_c in circ:
+                continue
+            parts = [x for x in circ if x <= labels_c]
+            if any(
+                not x & y and (x | y) == labels_c
+                for i, x in enumerate(parts)
+                for y in parts[i + 1 :]
+            ):
+                continue
+            v.append(
+                "%s :: circuit %s breaks under contraction of %s"
+                % (verify.fmt_system(m), m.render_set(c), m.ground.labels[e])
+            )
+    return v
+
+
+def _violations(test, corpus):
+    return [(i, v) for i, x in enumerate(corpus) for v in test(x)]
+
+
+def test_mask_checks_match_label_references():
+    pairs = matroid_twist_pairs(4)
+    assert _violations(verify._twist_decomposition, pairs) == []
+    assert _violations(_twist_decomposition_reference, pairs) == []
+    deltas = binary_delta_corpus_up_to(4) + delta_matroids_up_to(4)
+    assert len(deltas) == 2449 + 6133
+    got = [verify._qualifying_circuit(d) for d in deltas]
+    assert got == [_qualifying_circuit_reference(d) for d in deltas]
+    assert 0 < sum(got) < len(got)
+    matroids = binary_matroids_up_to(5)
+    assert _violations(verify._circuit_contraction, matroids) == []
+    assert _violations(_circuit_contraction_reference, matroids) == []
+
+
+def _dual_of_contraction(self, e):
+    # (M / e)* = M* \ e, on the same ground as M / e
+    return self.dual().delete(e)
+
+
+@pytest.mark.parametrize(
+    "target, name, mutant, check, reference, corpus, failing",
+    [
+        (verify, "upper_matroid", lower_matroid, "_twist_decomposition",
+         _twist_decomposition_reference, lambda: matroid_twist_pairs(4), 570),
+        (verify, "lower_matroid", upper_matroid, "_odd_circuit",
+         _odd_circuit_reference, lambda: binary_delta_corpus_up_to(4), 2140),
+        (Matroid, "contract", _dual_of_contraction, "_circuit_contraction",
+         _circuit_contraction_reference, lambda: binary_matroids_up_to(5), 3311),
+    ],
+    ids=["twist_decomposition", "odd_circuit", "circuit_contraction"],
+)
+def test_mask_checks_match_label_references_under_mutants(
+    monkeypatch, target, name, mutant, check, reference, corpus, failing
+):
+    """Equal reports where the checks do fail, so the differential above
+    cannot hold merely because nothing ever fails."""
+    monkeypatch.setattr(target, name, mutant)
+    items = corpus()
+    got = _violations(getattr(verify, check), items)
+    assert got == _violations(reference, items)
+    assert len(got) == failing
 
 
 def test_run_suite_rejects_unknown_name():
