@@ -136,11 +136,11 @@ def cmd_check(args) -> int:
 def cmd_op(args) -> int:
     d = _load_delta(args.file)
     if args.operation == "dual":
-        if args.set:
+        if args.set is not None:
             raise CliError("dual takes no --set argument")
         result: SetSystem = d.dual()
     else:
-        a = _parse_set(d.ground.labels, args.set, "ground")
+        a = _parse_set(d.ground.labels, args.set or "", "ground")
         if args.operation == "twist":
             result = d.twist(a)
         elif args.operation == "lc":
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply an operation to a delta-matroid file")
     p.add_argument("operation", choices=("twist", "lc", "dual", "delete", "contract"))
-    p.add_argument("--set", default="", help="comma-separated ground labels")
+    p.add_argument("--set", default=None, help="comma-separated ground labels")
     p.add_argument("file")
     p.set_defaults(func=cmd_op)
 

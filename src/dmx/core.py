@@ -99,6 +99,35 @@ def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:
     return sorted(masks, key=family_sort_key)
 
 
+def twist_masks(family: Iterable[Mask], a: Mask, n: int) -> tuple[Mask, ...]:
+    """The canonical family {F XOR a : F in family} on an n-element ground.
+
+    XOR by an in-range a permutes the subsets, so only the order changes.
+    """
+    return tuple(canonical_sorted([m ^ a for m in family], n))
+
+
+def minor_masks(family: Sequence[Mask], delete: Mask, contract: Mask) -> tuple[Mask, ...]:
+    """Delete and contract disjoint element sets of a canonical family,
+    highest index first; the result is canonical on the remaining elements.
+
+    Deleting a coloop contracts it and contracting a loop deletes it, so on
+    a plain set system (not on a delta-matroid) the result can depend on
+    the order in which the elements go.
+    """
+    # Highest first, so shifting higher bits down never moves a pending
+    # element.  Filtering keeps the canonical order, and the kept sets all
+    # agree on the element (all stay if none is on the wanted side).  Sets
+    # of equal size compare by whether the least element of their difference
+    # lies in the first; that is never the dropped one, so the order holds.
+    fam = family
+    for bit in sorted(iter_bits(delete | contract), reverse=True):
+        side, low = contract & bit, bit - 1
+        kept = [m for m in fam if m & bit == side] or fam
+        fam = [m & low | (m >> 1) & ~low for m in kept]
+    return tuple(fam)
+
+
 def apply_permutation(mask: Mask, perm: Sequence[int]) -> Mask:
     """Relabel a mask: bit i of the input becomes bit perm[i] of the output."""
     out = 0
@@ -136,6 +165,21 @@ class GroundSet:
 
     def labels_of(self, mask: Mask) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in indices_of(mask))
+
+
+# Minor grounds kept by _minor_ground: a verify run at --max-n 5 meets about
+# 1,100 (ground, removed mask) pairs.
+MINOR_GROUND_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=MINOR_GROUND_CACHE_SIZE)
+def _minor_ground(ground: GroundSet, removed: Mask) -> GroundSet:
+    """The ground left after removing the elements of a mask.  The labels are
+    a subsequence of distinct labels, so they are not checked again."""
+    labels = tuple(lab for i, lab in enumerate(ground.labels) if not removed >> i & 1)
+    out = object.__new__(GroundSet)
+    object.__setattr__(out, "labels", labels)
+    return out
 
 
 def numbered_ground(n: int) -> GroundSet:
@@ -213,7 +257,7 @@ class SetSystem:
         return 1 << e
 
     def _check_mask(self, mask: Mask) -> None:
-        if mask & ~self.ground.full_mask:
+        if mask >> len(self.ground.labels):
             raise ValueError("mask has bits outside the ground set")
 
     def is_loop(self, e: int) -> bool:
@@ -238,9 +282,8 @@ class SetSystem:
         """Replace every member F by F XOR a.  Preserves the exchange axiom."""
         self._check_mask(a)
         cls = DeltaMatroid if isinstance(self, DeltaMatroid) else SetSystem
-        # XOR by an in-range a permutes the subsets, so only the order changes
-        fam = canonical_sorted([m ^ a for m in self.family], self.ground.size)
-        return cls._from_canonical(self.ground, tuple(fam))
+        fam = twist_masks(self.family, a, len(self.ground.labels))
+        return cls._from_canonical(self.ground, fam)
 
     def dual(self) -> "SetSystem":
         return self.twist(self.ground.full_mask)
@@ -268,29 +311,16 @@ class SetSystem:
         return self.minor(contract=self._element_bit(e))
 
     def minor(self, delete: Mask = 0, contract: Mask = 0) -> "SetSystem":
-        """Delete and contract the given element sets, highest index first.
-
-        Deleting a coloop contracts it and contracting a loop deletes it, so on
-        a plain set system (not on a delta-matroid) the result can depend on
-        the order in which the elements go.
-        """
+        """Delete and contract the given element sets, highest index first
+        (see minor_masks)."""
         self._check_mask(delete)
         self._check_mask(contract)
         if delete & contract:
             raise ValueError("delete and contract sets overlap")
-        # Highest first, so shifting higher bits down never moves a pending
-        # element.  Filtering keeps the canonical order, and the kept sets all
-        # agree on the element (all stay if none is on the wanted side).  Sets
-        # of equal size compare by whether the least element of their difference
-        # lies in the first; that is never the dropped one, so the order holds.
-        fam = self.family
-        labels = list(self.ground.labels)
-        for bit in sorted(iter_bits(delete | contract), reverse=True):
-            side, low = contract & bit, bit - 1
-            kept = [m for m in fam if m & bit == side] or fam
-            fam = [m & low | (m >> 1) & ~low for m in kept]
-            del labels[low.bit_length()]
-        return type(self)._from_canonical(GroundSet(tuple(labels)), tuple(fam))
+        return type(self)._from_canonical(
+            _minor_ground(self.ground, delete | contract),
+            minor_masks(self.family, delete, contract),
+        )
 
     def restrict(self, a: Mask) -> "SetSystem":
         return self.minor(delete=self.ground.full_mask & ~a)

@@ -194,15 +194,20 @@ def classify_matroid(m: Matroid) -> ClassificationReport:
     return _classification(m.ground.size, m.family).report
 
 
-def _lower_bases(d: DeltaMatroid) -> tuple[Mask, ...]:
-    """The minimum-cardinality prefix of the canonical family."""
-    fam = d.family
-    return fam[: bisect_right(fam, fam[0].bit_count(), key=int.bit_count)]
+def lower_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """The minimum-cardinality prefix of a nonempty canonical family: the
+    bases of its lower matroid."""
+    return family[: bisect_right(family, family[0].bit_count(), key=int.bit_count)]
+
+
+def classify_family(n: int, family: tuple[Mask, ...]) -> ClassificationReport:
+    """classify_delta of a nonempty canonical family on n elements."""
+    return _classification(n, lower_bases(family)).report
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the minimum-cardinality feasible sets."""
-    return Matroid._from_canonical(d.ground, _lower_bases(d))
+    return Matroid._from_canonical(d.ground, lower_bases(d.family))
 
 
 def upper_matroid(d: DeltaMatroid) -> Matroid:
@@ -215,7 +220,7 @@ def upper_matroid(d: DeltaMatroid) -> Matroid:
 
 def classify_delta(d: DeltaMatroid) -> ClassificationReport:
     """A delta-matroid is bipartite/Eulerian when its lower matroid is."""
-    return _classification(d.ground.size, _lower_bases(d)).report
+    return classify_family(d.ground.size, d.family)
 
 
 def is_bipartite_delta(d: DeltaMatroid) -> bool:

@@ -28,7 +28,9 @@ from .core import (
     apply_permutation,
     exchange_violation_masks,
     indices_of,
+    minor_masks,
     numbered_ground,
+    twist_masks,
 )
 from .gf2 import (
     Gf2Matrix,
@@ -37,7 +39,15 @@ from .gf2 import (
     delta_matroid_from_symmetric,
     is_binary,
 )
-from .matroid import Matroid, is_bipartite_delta, is_eulerian_delta, lower_matroid, upper_matroid
+from .matroid import (
+    Matroid,
+    classify_family,
+    is_bipartite_delta,
+    is_eulerian_delta,
+    lower_bases,
+    lower_matroid,
+    upper_matroid,
+)
 from .ribbon import RibbonEdge, RibbonGraph
 
 logger = logging.getLogger(__name__)
@@ -445,24 +455,27 @@ def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int
 
 
 def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
-    """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e."""
-    dmin = lower_matroid(d)
+    """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e; both
+    sides live on the same ground, so their families are compared."""
+    fam = d.family
+    dmin = lower_bases(fam)
     return [
         e
         for e in range(d.ground.size)
-        if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
+        if not d.is_coloop(e)
+        and lower_bases(minor_masks(fam, 1 << e, 0)) != minor_masks(dmin, 1 << e, 0)
     ]
 
 
 def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask]:
     """The A in subsets that some feasible set meets in fewer elements than
     every lower-matroid base does."""
-    dmin = lower_matroid(d)
+    dmin = lower_bases(d.family)
     return [
         a
         for a in subsets
         if min((f & a).bit_count() for f in d.family)
-        < min((b & a).bit_count() for b in dmin.family)
+        < min((b & a).bit_count() for b in dmin)
     ]
 
 
@@ -536,17 +549,17 @@ def _circuit_contraction(m: Matroid) -> list[str]:
     """Contracting an element outside a circuit of a binary matroid leaves the
     circuit a circuit or a disjoint union of exactly two circuits."""
     v = []
+    contracted = [m.contract(e).circuits for e in range(m.ground.size)]
     for c in m.circuits:
-        for e in range(m.ground.size):
+        for e, circuits in enumerate(contracted):
             if (c >> e) & 1:
                 continue
-            mc = m.contract(e)
             # c on the ground of m / e: the bits above e move down by one
             low = (1 << e) - 1
             sc = c & low | (c >> 1) & ~low
-            if sc in mc.circuits:
+            if sc in circuits:
                 continue
-            parts = [x for x in mc.circuits if not x & ~sc]
+            parts = [x for x in circuits if not x & ~sc]
             if any(
                 not x & y and (x | y) == sc
                 for i, x in enumerate(parts)
@@ -562,10 +575,15 @@ def _circuit_contraction(m: Matroid) -> list[str]:
 
 def _bipartite_dual_eulerian(pair: tuple[Matroid, Mask]) -> list[str]:
     """Bipartite twists of binary matroids have Eulerian duals; the converse
-    fails on the recorded witness."""
+    fails on the recorded witness.  The dual of M*A is M*(E - A)."""
     m, a = pair
-    d = m.twist(a)
-    if is_bipartite_delta(d) and not is_eulerian_delta(d.dual()):
+    n = m.ground.size
+    full = (1 << n) - 1
+    fam = m.family
+    if (
+        classify_family(n, twist_masks(fam, a, n)).bipartite
+        and not classify_family(n, twist_masks(fam, full ^ a, n)).eulerian
+    ):
         return ["%s * %s :: bipartite twist with non-Eulerian dual" % (fmt_system(m), m.render_set(a))]
     return []
 
@@ -574,39 +592,48 @@ def _characterization(pair: tuple[Matroid, Mask]) -> list[str]:
     """A twist of a binary matroid is bipartite (Eulerian) iff both deletion
     factors of the matroid and its dual are Eulerian (bipartite)."""
     m, a = pair
-    ac = m.ground.full_mask ^ a
-    d = m.twist(a)
-    mdac = m.minor(delete=ac)
-    mda = m.dual().minor(delete=a)
+    n = m.ground.size
+    full = (1 << n) - 1
+    fam = m.family
+    d = classify_family(n, twist_masks(fam, a, n))
+    # M \ A^c lives on A, M* \ A on A^c
+    mdac = classify_family(a.bit_count(), minor_masks(fam, full ^ a, 0))
+    mda = classify_family(n - a.bit_count(), minor_masks(twist_masks(fam, full, n), a, 0))
     v = []
-    if is_bipartite_delta(d) != (mdac.is_eulerian() and mda.is_eulerian()):
+    if d.bipartite != (mdac.eulerian and mda.eulerian):
         v.append("%s * %s :: bipartite clause fails" % (fmt_system(m), m.render_set(a)))
-    if is_eulerian_delta(d) != (mdac.is_bipartite() and mda.is_bipartite()):
+    if d.eulerian != (mdac.bipartite and mda.bipartite):
         v.append("%s * %s :: eulerian clause fails" % (fmt_system(m), m.render_set(a)))
     return v
 
 
 def _deletion_bipartite(d: DeltaMatroid) -> list[str]:
     """Deletion preserves bipartiteness of arbitrary delta-matroids."""
-    if not is_bipartite_delta(d):
+    n = d.ground.size
+    fam = d.family
+    if not classify_family(n, fam).bipartite:
         return []
     return [
         "%s :: deleting %s loses bipartiteness" % (fmt_system(d), d.render_set(a))
-        for a in range(1 << d.ground.size)
-        if not is_bipartite_delta(d.minor(delete=a))
+        for a in range(1 << n)
+        if not classify_family(n - a.bit_count(), minor_masks(fam, a, 0)).bipartite
     ]
 
 
 def _contraction_bipartite(d: DeltaMatroid) -> list[str]:
     """If a twist D*A is bipartite then D*/A^c and D/A are bipartite."""
-    full = d.ground.full_mask
+    n = d.ground.size
+    full = (1 << n) - 1
+    fam = d.family
+    dual = twist_masks(fam, full, n)
     v = []
-    for a in range(1 << d.ground.size):
-        if not is_bipartite_delta(d.twist(a)):
+    for a in range(1 << n):
+        if not classify_family(n, twist_masks(fam, a, n)).bipartite:
             continue
-        if not is_bipartite_delta(d.dual().minor(contract=full ^ a)):
+        k = a.bit_count()
+        if not classify_family(k, minor_masks(dual, 0, full ^ a)).bipartite:
             v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
-        if not is_bipartite_delta(d.minor(contract=a)):
+        if not classify_family(n - k, minor_masks(fam, 0, a)).bipartite:
             v.append("%s :: D/A not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
     return v
 

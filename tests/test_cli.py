@@ -119,6 +119,8 @@ def test_op_twist(files):
     code, out, _ = run("op", "twist", "--set", "1", files["d.dm"])
     assert code == 0
     assert out == "ground: 1 2\nfeasible: {1}\nfeasible: {2}\n"
+    # without --set the twist is by the empty set
+    assert run("op", "twist", files["d.dm"]) == (0, DM, "")
 
 
 def test_op_output_roundtrips(files, tmp_path):
@@ -158,6 +160,11 @@ def test_op_rejects_unknown_label(files):
 def test_op_dual_rejects_set(files):
     code, _, err = run("op", "dual", "--set", "1", files["d.dm"])
     assert code == 2
+    # any --set on dual is an error, even the empty set, as for ribbon
+    # classify/to-dm
+    code, out, err = run("op", "dual", "--set", "", files["d.dm"])
+    assert (code, out) == (2, "")
+    assert "dual takes no --set argument" in err
 
 
 def test_classify_dm(files):

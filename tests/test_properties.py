@@ -1,12 +1,20 @@
-"""Property tests of the minor and twist identities on seeded random
-delta-matroids, and of the file-format round trips."""
+"""Property tests of the minor and twist identities and of their mask
+kernels on seeded random delta-matroids, and of the file-format round
+trips."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmx.core import exchange_violation_masks, indices_of
+from dmx.core import (
+    exchange_violation_masks,
+    family_sort_key,
+    indices_of,
+    minor_masks,
+    twist_masks,
+)
 from dmx.formats import dump_dm, dump_gf2, parse_dm, parse_gf2
 from dmx.gf2 import Gf2SymmetricMatrix
+from dmx.matroid import lower_bases, lower_matroid
 from dmx.verify import random_delta_matroids
 
 # The same examples on every run keep the suite deterministic; no example
@@ -87,6 +95,37 @@ def test_split_at_an_element_is_deletion_and_contraction(d, data):
         if part:
             assert part == set(minor.family)
             assert exchange_violation_masks(tuple(part)) is None
+
+
+@deterministic
+@given(delta_matroids(), st.data())
+def test_lower_bases_of_twist_masks(d, data):
+    n = d.ground.size
+    a = data.draw(st.integers(0, d.ground.full_mask))
+    got = lower_bases(twist_masks(d.family, a, n))
+    assert got == lower_matroid(d.twist(a)).family
+    # reference: the smallest twisted sets, sorted by the reference key
+    twisted = [m ^ a for m in d.family]
+    low = min(m.bit_count() for m in twisted)
+    assert got == tuple(sorted((m for m in twisted if m.bit_count() == low), key=family_sort_key))
+
+
+@deterministic
+@given(minors())
+def test_minor_masks_is_the_minor_family(case):
+    d, delete, contract = case
+    got = minor_masks(d.family, delete, contract)
+    assert got == d.minor(delete=delete, contract=contract).family
+    # reference: one element at a time, any order on a delta-matroid, sorted
+    # by the reference key at the end
+    fam = set(d.family)
+    for e in sorted(indices_of(delete | contract)):
+        bit = 1 << e
+        kept = {m for m in fam if bool(m & bit) == bool(contract & bit)} or fam
+        fam = {m & ~bit for m in kept}
+    pos = [e for e in range(d.ground.size) if not (delete | contract) >> e & 1]
+    squeezed = {sum(1 << j for j, e in enumerate(pos) if m >> e & 1) for m in fam}
+    assert got == tuple(sorted(squeezed, key=family_sort_key))
 
 
 @deterministic

@@ -1,10 +1,17 @@
 import logging
+import random
 
 import pytest
 
-from dmx import verify
+from dmx import matroid, verify
 from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, numbered_ground
-from dmx.matroid import Matroid, lower_matroid, upper_matroid
+from dmx.matroid import (
+    Matroid,
+    is_bipartite_delta,
+    is_eulerian_delta,
+    lower_matroid,
+    upper_matroid,
+)
 from dmx.verify import (
     Counterexample,
     VerificationReport,
@@ -205,9 +212,16 @@ def test_shard_count_does_not_change_text_report():
         assert [render_text(r) for r in one] == [render_text(r) for r in three]
 
 
+def _upper_bases(family):
+    """Mutant of lower_bases: the maximum-cardinality suffix, i.e. the bases
+    of the upper matroid."""
+    top = family[-1].bit_count()
+    return tuple(m for m in family if m.bit_count() == top)
+
+
 def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
     # both checks built on the deletion/minimum identity must catch it
-    monkeypatch.setattr(verify, "lower_matroid", upper_matroid)
+    monkeypatch.setattr(verify, "lower_bases", _upper_bases)
     names = ["min_deletion", "operation_calculus"]
     one = run_suite(names, max_n=3, seed=2, shards=1)
     three = run_suite(names, max_n=3, seed=2, shards=3)
@@ -324,6 +338,119 @@ def test_mask_checks_match_label_references_under_mutants(
     cannot hold merely because nothing ever fails."""
     monkeypatch.setattr(target, name, mutant)
     items = corpus()
+    got = _violations(getattr(verify, check), items)
+    assert got == _violations(reference, items)
+    assert len(got) == failing
+
+
+# The object-level versions of the checks that run on masks in dmx.verify,
+# kept as references.  They classify through dmx.matroid, whose
+# lower_bases is the name a lower/upper mutant patches for both versions.
+
+
+def _min_deletion_reference(d):
+    dmin = lower_matroid(d)
+    return [
+        "%s :: deletion/minimum identity fails at %s" % (verify.fmt_system(d), d.ground.labels[e])
+        for e in range(d.ground.size)
+        if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
+    ]
+
+
+def _deletion_bipartite_reference(d):
+    if not is_bipartite_delta(d):
+        return []
+    return [
+        "%s :: deleting %s loses bipartiteness" % (verify.fmt_system(d), d.render_set(a))
+        for a in range(1 << d.ground.size)
+        if not is_bipartite_delta(d.minor(delete=a))
+    ]
+
+
+def _contraction_bipartite_reference(d):
+    full = d.ground.full_mask
+    v = []
+    for a in range(1 << d.ground.size):
+        if not is_bipartite_delta(d.twist(a)):
+            continue
+        if not is_bipartite_delta(d.dual().minor(contract=full ^ a)):
+            v.append("%s :: D*/A^c not bipartite for A=%s" % (verify.fmt_system(d), d.render_set(a)))
+        if not is_bipartite_delta(d.minor(contract=a)):
+            v.append("%s :: D/A not bipartite for A=%s" % (verify.fmt_system(d), d.render_set(a)))
+    return v
+
+
+def _lower_bound_reference(d):
+    dmin = lower_matroid(d)
+    return [
+        "%s :: intersection lower bound fails for A=%s" % (verify.fmt_system(d), d.render_set(a))
+        for a in range(1 << d.ground.size)
+        if min((f & a).bit_count() for f in d.family)
+        < min((b & a).bit_count() for b in dmin.family)
+    ]
+
+
+def _characterization_reference(pair):
+    m, a = pair
+    ac = m.ground.full_mask ^ a
+    d = m.twist(a)
+    mdac = m.minor(delete=ac)
+    mda = m.dual().minor(delete=a)
+    v = []
+    if is_bipartite_delta(d) != (mdac.is_eulerian() and mda.is_eulerian()):
+        v.append("%s * %s :: bipartite clause fails" % (verify.fmt_system(m), m.render_set(a)))
+    if is_eulerian_delta(d) != (mdac.is_bipartite() and mda.is_bipartite()):
+        v.append("%s * %s :: eulerian clause fails" % (verify.fmt_system(m), m.render_set(a)))
+    return v
+
+
+def _bipartite_dual_eulerian_reference(pair):
+    m, a = pair
+    d = m.twist(a)
+    if is_bipartite_delta(d) and not is_eulerian_delta(d.dual()):
+        return [
+            "%s * %s :: bipartite twist with non-Eulerian dual"
+            % (verify.fmt_system(m), m.render_set(a))
+        ]
+    return []
+
+
+_OBJECT_CASES = [
+    ("_min_deletion", _min_deletion_reference, lambda: delta_matroids_up_to(4), 1000, 1025),
+    ("_deletion_bipartite", _deletion_bipartite_reference,
+     lambda: delta_matroids_up_to(4), 1000, 1967),
+    ("_contraction_bipartite", _contraction_bipartite_reference,
+     lambda: delta_matroids_up_to(4), 1000, 4149),
+    ("_lower_bound", _lower_bound_reference, lambda: delta_matroids_up_to(4), 1000, 12796),
+    ("_characterization", _characterization_reference,
+     lambda: matroid_twist_pairs(5), 2000, 1099),
+    ("_bipartite_dual_eulerian", _bipartite_dual_eulerian_reference,
+     lambda: matroid_twist_pairs(5), 2000, 561),
+]
+OBJECT_REFERENCES = pytest.mark.parametrize(
+    "check, reference, corpus, sample, failing",
+    _OBJECT_CASES,
+    ids=[case[0].lstrip("_") for case in _OBJECT_CASES],
+)
+
+
+@OBJECT_REFERENCES
+def test_mask_checks_match_object_references(check, reference, corpus, sample, failing):
+    items = corpus()
+    assert _violations(getattr(verify, check), items) == _violations(reference, items) == []
+
+
+@OBJECT_REFERENCES
+def test_mask_checks_match_object_references_under_upper_mutant(
+    monkeypatch, check, reference, corpus, sample, failing
+):
+    """Lower bases swapped for upper ones in both versions: equal reports
+    where the checks do fail.  Failing instances make long reports, so a
+    seeded sample of the corpus keeps this to about a second."""
+    monkeypatch.setattr(matroid, "lower_bases", _upper_bases)
+    monkeypatch.setattr(verify, "lower_bases", _upper_bases)
+    items = corpus()
+    items = [items[i] for i in sorted(random.Random(9).sample(range(len(items)), sample))]
     got = _violations(getattr(verify, check), items)
     assert got == _violations(reference, items)
     assert len(got) == failing
