@@ -121,7 +121,10 @@ def minor_masks(family: Sequence[Mask], delete: Mask, contract: Mask) -> tuple[M
     # of equal size compare by whether the least element of their difference
     # lies in the first; that is never the dropped one, so the order holds.
     fam = family
-    for bit in sorted(iter_bits(delete | contract), reverse=True):
+    rest = delete | contract
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        rest ^= bit
         side, low = contract & bit, bit - 1
         kept = [m for m in fam if m & bit == side] or fam
         fam = [m & low | (m >> 1) & ~low for m in kept]

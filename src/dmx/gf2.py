@@ -4,6 +4,7 @@ vector matroids, and the binary-representability decision."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import (
@@ -57,45 +58,98 @@ class Gf2SymmetricMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def principal_nonsingular(self, x: Mask) -> bool:
-        """Full rank of the principal submatrix A[x]; A[empty] counts as nonsingular.
 
-        Masking row i by x keeps exactly the entries of A[x] in that row.  The
-        masked rows are reduced one at a time against the pivots found so
-        far (highest bit first), and A[x] is singular as soon as one of them
-        reduces to zero.
-        """
-        rows = self.rows
-        pivots: dict[int, int] = {}
-        rest = x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = rows[low.bit_length() - 1] & x
-            while v:
-                h = v.bit_length() - 1
-                p = pivots.get(h)
-                if p is None:
-                    pivots[h] = v
-                    break
-                v ^= p
-            else:
-                return False
-        return True
+# Orders whose codes nonsingular_code keeps once computed: there are 1,099
+# symmetric matrices of order <= 4, and every recursion ends in one of them.
+_MEMO_ORDER = 4
+_small_codes: dict[tuple[int, ...], int] = {}
+
+
+@lru_cache(maxsize=None)
+def _index_bit_clear(k: int, h: int) -> int:
+    """The 2^h-bit mask of the indices x < 2^h whose bit k is clear."""
+    return ((1 << (1 << h)) - 1) // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1)
+
+
+def nonsingular_code(rows: tuple[int, ...]) -> int:
+    """The 2^n-bit indicator of D(A): bit x is set iff A[x] is nonsingular,
+    for the symmetric matrix A with these rows (A[empty] is nonsingular).
+
+    One recursion on the highest element h, with b its column below h.  The
+    sets without h are D(A[V-h]).  If a_hh = 1, A[x+h] is nonsingular iff the
+    Schur complement (A + b b^T)[x] is.  If a_hh = 0 and b has a lowest
+    element k, the principal pivot on {h, k} gives D(A*{h,k}) = D(A) XOR
+    {h, k} (Tucker 1960; Bouchet, "Representability of delta-matroids",
+    1988), so x+h is feasible iff x XOR {k} is in D((A*{h,k})[V-h]).  If
+    a_hh = 0 and b = 0, no feasible set holds h.
+    """
+    n = len(rows)
+    if n <= _MEMO_ORDER:
+        code = _small_codes.get(rows)
+        if code is not None:
+            return code
+    if not n:
+        return 1
+    h = n - 1
+    low = (1 << h) - 1
+    top = rows[h]
+    b = top & low
+    sub = tuple(r & low for r in rows[:h])
+    code = nonsingular_code(sub)
+    if top >> h & 1:
+        with_h = nonsingular_code(tuple(r ^ b if b >> i & 1 else r for i, r in enumerate(sub)))
+    elif b:
+        # A*{h,k} on V-h, with R = V-{h,k}, u = row k on R, w = b on R: row
+        # i of R is r_i + u_i w + w_i u + a_kk w_i w with w_i in column k,
+        # and row k is w with a zero diagonal
+        kb = b & -b
+        k = kb.bit_length() - 1
+        w = b ^ kb
+        u = sub[k] & ~kb
+        uw = (u ^ w if sub[k] & kb else u) | kb
+        pivoted = []
+        for i, r in enumerate(sub):
+            if i == k:
+                pivoted.append(w)
+                continue
+            r &= ~kb
+            if u >> i & 1:
+                r ^= w
+            if w >> i & 1:
+                r ^= uw
+            pivoted.append(r)
+        c = nonsingular_code(tuple(pivoted))
+        # the sets with h are the sets y XOR {k} for y in that code
+        keep = _index_bit_clear(k, h)
+        shift = 1 << k
+        with_h = (c & keep) << shift | (c >> shift) & keep
+    else:
+        with_h = 0
+    code |= with_h << (1 << h)
+    if n <= _MEMO_ORDER:
+        _small_codes[rows] = code
+    return code
+
+
+def _code_bits(code: int, n: int) -> str:
+    """A 2^n-bit code as a string whose character x is its bit x."""
+    return format(code, "0%db" % (1 << n))[::-1]
 
 
 def delta_matroid_from_symmetric(
     a: Gf2SymmetricMatrix, ground: Optional[GroundSet] = None
 ) -> DeltaMatroid:
-    """D(A): feasible sets are the X with A[X] nonsingular; always contains the empty set."""
+    """D(A): feasible sets are the X with A[X] nonsingular; always contains the
+    empty set.  The family is read off nonsingular_code in canonical order."""
     n = a.order
     if n > 16:
         raise ValueError("D(A) construction is limited to order 16")
     g = ground if ground is not None else numbered_ground(n)
     if g.size != n:
         raise ValueError("ground size does not match matrix order")
-    fam = tuple(x for x in range(1 << n) if a.principal_nonsingular(x))
-    return DeltaMatroid(g, fam)
+    bits = _code_bits(nonsingular_code(tuple(a.rows)), n)
+    fam = tuple(x for x in canonical_masks(n) if bits[x] == "1")
+    return DeltaMatroid._from_canonical(g, fam)
 
 
 @dataclass(frozen=True)
@@ -174,12 +228,13 @@ def _representation_mismatch(
     normal: DeltaMatroid,
 ) -> tuple[Gf2SymmetricMatrix, Optional[Mask]]:
     cand = reconstruct_candidate(normal)
-    mem = normal.members
+    diff = nonsingular_code(cand.rows) ^ sum(1 << m for m in normal.family)
+    if not diff:
+        return cand, None
+    # the first differing subset in canonical order
     n = normal.ground.size
-    for x in canonical_masks(n):
-        if cand.principal_nonsingular(x) != (x in mem):
-            return cand, x
-    return cand, None
+    bits = _code_bits(diff, n)
+    return cand, next(x for x in canonical_masks(n) if bits[x] == "1")
 
 
 def is_binary(d: DeltaMatroid) -> BinaryCertificate:

@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from dmx import verify
+from dmx import cli, verify
 from dmx.cli import main
 from dmx.core import numbered_ground
 from dmx.formats import dump_dm, dump_rg, parse_rg
@@ -337,6 +337,29 @@ def test_bad_arguments_exit_2():
     assert code == 2
     code, _, _ = run()
     assert code == 2
+
+
+def test_parser_reuse_matches_fresh_parsers(files, monkeypatch):
+    """main builds its parser once per process: a bad argv, a good one and the
+    bad one again print what fresh parsers print, and so does --help."""
+    argvs = [
+        ("op", "explode", files["d.dm"]),
+        ("op", "twist", "--set", "1", files["d.dm"]),
+        ("op", "explode", files["d.dm"]),
+        ("verify", "--max-n"),
+        ("classify", files["a.gf2"]),
+        ("verify", "--max-n"),
+        ("--help",),
+        ("op", "--help"),
+    ]
+    shared = [run(*argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(*argv) for argv in argvs]
+    assert shared == fresh
+    assert shared[0][0] == 2 and shared[0] == shared[2]
+    assert shared[1][0] == 0 and shared[4][0] == 0
+    assert "invalid choice: 'explode'" in shared[0][2]
 
 
 def test_ribbon_to_dm_rejects_more_than_16_edges(tmp_path, monkeypatch):

@@ -3,8 +3,16 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import given
 
-from dmx.core import DeltaMatroid, apply_permutation, family_sort_key, numbered_ground
+from dmx.core import (
+    DeltaMatroid,
+    Mask,
+    apply_permutation,
+    family_sort_key,
+    indices_of,
+    numbered_ground,
+)
 from dmx.gf2 import (
     BinaryCertificate,
     Gf2Matrix,
@@ -14,8 +22,62 @@ from dmx.gf2 import (
     delta_matroid_from_symmetric,
     gf2_rank,
     is_binary,
+    nonsingular_code,
     reconstruct_candidate,
 )
+from dmx.verify import NONBINARY_WITNESS, all_symmetric_matrices, delta_matroids_up_to
+from test_core import _random_symmetric
+from test_properties import deterministic, symmetric_matrices
+
+
+def principal_nonsingular(a: Gf2SymmetricMatrix, x: Mask) -> bool:
+    """Reference: full rank of the principal submatrix A[x], one elimination
+    per subset; A[empty] counts as nonsingular.
+
+    Masking row i by x keeps exactly the entries of A[x] in that row.  The
+    masked rows are reduced one at a time against the pivots found so far
+    (highest bit first), and A[x] is singular as soon as one of them reduces
+    to zero.
+    """
+    pivots: dict[int, int] = {}
+    rest = x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = a.rows[low.bit_length() - 1] & x
+        while v:
+            h = v.bit_length() - 1
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = v
+                break
+            v ^= p
+        else:
+            return False
+    return True
+
+
+def _reference_code(a: Gf2SymmetricMatrix) -> int:
+    return sum(1 << x for x in range(1 << a.order) if principal_nonsingular(a, x))
+
+
+def _reference_witness(d: DeltaMatroid, twist_set: Mask) -> Optional[Mask]:
+    """The first subset in canonical order where D of the reconstructed
+    candidate and the normal twist disagree, found one subset at a time."""
+    normal = d.twist(twist_set)
+    cand = reconstruct_candidate(normal)
+    return next(
+        (
+            x
+            for x in sorted(range(1 << d.ground.size), key=family_sort_key)
+            if principal_nonsingular(cand, x) != (x in normal.members)
+        ),
+        None,
+    )
+
+
+def _zero_diagonal(a: Gf2SymmetricMatrix) -> Gf2SymmetricMatrix:
+    return Gf2SymmetricMatrix(tuple(row & ~(1 << i) for i, row in enumerate(a.rows)))
 
 
 def _exhaustive_search(d: DeltaMatroid) -> Optional[BinaryCertificate]:
@@ -72,35 +134,62 @@ def test_symmetric_matrix_validation():
 
 def test_principal_nonsingular():
     a = Gf2SymmetricMatrix((0b10, 0b01))  # [[0,1],[1,0]]
-    assert a.principal_nonsingular(0)  # empty submatrix
-    assert not a.principal_nonsingular(0b01)  # [0] singular
-    assert a.principal_nonsingular(0b11)
+    assert principal_nonsingular(a, 0)  # empty submatrix
+    assert not principal_nonsingular(a, 0b01)  # [0] singular
+    assert principal_nonsingular(a, 0b11)
 
 
 def test_principal_nonsingular_matches_compacted_submatrix():
     """Every subset of all 4x4 matrices and of seeded random ones with
     6 <= n <= 12, half of those with a zero diagonal."""
-    from dmx.core import indices_of
-    from dmx.verify import all_symmetric_matrices
-    from test_core import _random_symmetric
-
     rng = random.Random("dmx-principal-nonsingular")
     matrices = list(all_symmetric_matrices(4))
     for n in range(6, 13):
         for zero_diagonal in (False, True):
             a = _random_symmetric(n, rng)
-            if zero_diagonal:
-                a = Gf2SymmetricMatrix(tuple(row & ~(1 << i) for i, row in enumerate(a.rows)))
-            matrices.append(a)
+            matrices.append(_zero_diagonal(a) if zero_diagonal else a)
     singular = 0
     for a in matrices:
         for x in range(1 << a.order):
             idx = indices_of(x)
             sub = [sum(a.entry(i, j) << pos for pos, j in enumerate(idx)) for i in idx]
             want = gf2_rank(sub) == len(idx)
-            assert a.principal_nonsingular(x) == want, (a, x)
+            assert principal_nonsingular(a, x) == want, (a, x)
             singular += not want
     assert singular > 10000
+
+
+def test_nonsingular_code_matches_reference_on_small_orders():
+    for k in range(5):
+        for a in all_symmetric_matrices(k):
+            assert nonsingular_code(a.rows) == _reference_code(a), a
+
+
+def test_nonsingular_code_matches_reference_on_random_matrices():
+    """Seeded matrices of orders 5..12, with a zero and with a random diagonal:
+    a zero diagonal sends every set with the top element through the pivot."""
+    rng = random.Random("dmx-nonsingular-code")
+    for n in range(5, 13):
+        for _ in range(6):
+            a = _random_symmetric(n, rng)
+            for b in (a, _zero_diagonal(a)):
+                assert nonsingular_code(b.rows) == _reference_code(b), b
+
+
+@deterministic
+@given(symmetric_matrices(max_n=10))
+def test_nonsingular_code_property(a):
+    assert nonsingular_code(a.rows) == _reference_code(a)
+
+
+def test_delta_matroid_from_symmetric_at_order_limit():
+    a = _random_symmetric(16, random.Random("dmx-order-16"))
+    want = sorted(
+        (x for x in range(1 << 16) if principal_nonsingular(a, x)), key=family_sort_key
+    )
+    assert delta_matroid_from_symmetric(a).family == tuple(want)
+    with pytest.raises(ValueError):
+        delta_matroid_from_symmetric(Gf2SymmetricMatrix((0,) * 17))
 
 
 def test_delta_matroid_from_symmetric():
@@ -162,7 +251,6 @@ def test_is_binary_nonnormal_twist():
 
 def test_every_symmetric_matrix_yields_delta_matroid():
     from dmx.core import exchange_violation_masks
-    from dmx.verify import all_symmetric_matrices
 
     for a in all_symmetric_matrices(3):
         d = delta_matroid_from_symmetric(a)
@@ -171,27 +259,45 @@ def test_every_symmetric_matrix_yields_delta_matroid():
 
 
 def test_shortcut_matches_exhaustive_search():
-    from dmx.verify import delta_matroids_up_to
-
     for d in delta_matroids_up_to(3):
         assert is_binary(d).verdict == (_exhaustive_search(d) is not None)
 
 
 def test_failure_witness_is_first_mismatch_in_reference_order():
-    from dmx.verify import delta_matroids_up_to
-
     for d in delta_matroids_up_to(4):
         cert = is_binary(d)
-        normal = d.twist(cert.twist_set)
-        cand = reconstruct_candidate(normal)
-        n = d.ground.size
-        expected = next(
-            (
-                x
-                for x in sorted(range(1 << n), key=family_sort_key)
-                if cand.principal_nonsingular(x) != (x in normal.members)
-            ),
-            None,
-        )
+        expected = _reference_witness(d, cert.twist_set)
         assert cert.failure_witness == expected, d
         assert cert.verdict == (expected is None)
+
+
+def test_failure_witness_on_large_nonbinary_sums():
+    """D(A) plus one or two copies of the 3-element non-binary witness on
+    n = 8..11 elements, spread over the ground by a permutation and twisted.
+    With two copies the mismatches have two minimal sets, and the first in
+    canonical order is not always the smaller mask."""
+    rng = random.Random("dmx-nonbinary-sums")
+    not_smallest = 0
+    for n in range(8, 12):
+        for copies in (1, 2, 2, 2):
+            m = n - 3 * copies
+            fam = delta_matroid_from_symmetric(_random_symmetric(m, rng)).family
+            for c in range(copies):
+                shift = m + 3 * c
+                fam = tuple(f | w << shift for f in fam for w in NONBINARY_WITNESS.family)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            fam = tuple(apply_permutation(f, perm) for f in fam)
+            d = DeltaMatroid(numbered_ground(n), fam).twist(rng.randrange(1 << n))
+            cert = is_binary(d)
+            assert not cert.verdict
+            assert cert.failure_witness == _reference_witness(d, cert.twist_set)
+            normal = d.twist(cert.twist_set)
+            cand = reconstruct_candidate(normal)
+            smallest = next(
+                x
+                for x in range(1 << n)
+                if principal_nonsingular(cand, x) != (x in normal.members)
+            )
+            not_smallest += cert.failure_witness != smallest
+    assert not_smallest >= 3

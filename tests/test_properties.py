@@ -29,8 +29,8 @@ def delta_matroids(draw, min_n=0):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    n = draw(st.integers(0, 8))
+def symmetric_matrices(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
     rows = [0] * n
     for i in range(n):
         for j in range(i, n):
