@@ -92,6 +92,14 @@ def canonical_masks(n: int) -> Iterable[Mask]:
     )
 
 
+def code_masks(code: int, n: int) -> tuple[Mask, ...]:
+    """The masks x with bit x set in a 2^n-bit indicator code, in canonical
+    order.  The code is read once, as a string, so a 2^16-bit code costs one
+    pass rather than a shift per mask."""
+    bits = format(code, "0%db" % (1 << n))[::-1]
+    return tuple(x for x in canonical_masks(n) if bits[x] == "1")
+
+
 def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:
     """Masks of subsets of an n-element ground set, sorted canonically."""
     if n <= RANK_TABLE_MAX_N:

@@ -48,6 +48,7 @@ def _content_lines(text: str):
 def parse_dm(text: str) -> DmFile:
     kind = DELTA_KIND
     ground: Optional[GroundSet] = None
+    bit_of: dict[str, int] = {}  # ground label -> its mask bit
     masks: list[int] = []
     for lineno, raw, line in _content_lines(text):
         if ":" not in line:
@@ -63,11 +64,10 @@ def parse_dm(text: str) -> DmFile:
             if ground is not None:
                 raise ParseError("duplicate ground line", lineno, 1)
             labels = value.split()
-            seen = set()
             for lab in labels:
-                if lab in seen:
+                if lab in bit_of:
                     raise ParseError("duplicate ground label %r" % lab, lineno)
-                seen.add(lab)
+                bit_of[lab] = 1 << len(bit_of)
                 if any(c in lab for c in "{},"):
                     raise ParseError("label %r contains a reserved character" % lab, lineno)
             ground = GroundSet(tuple(labels))
@@ -77,20 +77,19 @@ def parse_dm(text: str) -> DmFile:
             if not (value.startswith("{") and value.endswith("}")):
                 raise ParseError("feasible set must be brace-delimited", lineno, raw.index(value) + 1)
             body = value[1:-1]
-            seen = set()
+            mask = 0
             if body.strip():
-                # 1-based column of each token, counted from the opening brace
+                # 1-based column of each piece, counted from the opening brace
                 col = raw.index(value) + 2
                 for piece in body.split(","):
                     lab = piece.strip()
-                    at = col + piece.index(lab)
+                    bit = bit_of.get(lab, 0)
+                    if not bit or mask & bit:
+                        what = "repeated label %r in feasible set" if bit else "unknown label %r"
+                        raise ParseError(what % lab, lineno, col + piece.index(lab))
+                    mask |= bit
                     col += len(piece) + 1
-                    if not lab or lab not in ground.labels:
-                        raise ParseError("unknown label %r" % lab, lineno, at)
-                    if lab in seen:
-                        raise ParseError("repeated label %r in feasible set" % lab, lineno, at)
-                    seen.add(lab)
-            masks.append(ground.mask(seen))
+            masks.append(mask)
         else:
             raise ParseError("unknown key %r" % key, lineno, 1)
     if ground is None:

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     DeltaMatroid,
     GroundSet,
     Mask,
-    canonical_masks,
+    code_masks,
     indices_of,
     numbered_ground,
 )
@@ -19,6 +19,10 @@ from .matroid import Matroid
 
 # Largest ground size the binary-representability decision accepts.
 BINARY_MAX_N = 12
+
+# Largest order D(A) is built for: its code has 2^16 bits.  A ribbon graph's
+# delta-matroid is such a D(A) twisted, so this is its edge limit too.
+D_OF_A_MAX_ORDER = 16
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
@@ -131,25 +135,18 @@ def nonsingular_code(rows: tuple[int, ...]) -> int:
     return code
 
 
-def _code_bits(code: int, n: int) -> str:
-    """A 2^n-bit code as a string whose character x is its bit x."""
-    return format(code, "0%db" % (1 << n))[::-1]
-
-
 def delta_matroid_from_symmetric(
     a: Gf2SymmetricMatrix, ground: Optional[GroundSet] = None
 ) -> DeltaMatroid:
     """D(A): feasible sets are the X with A[X] nonsingular; always contains the
     empty set.  The family is read off nonsingular_code in canonical order."""
     n = a.order
-    if n > 16:
-        raise ValueError("D(A) construction is limited to order 16")
+    if n > D_OF_A_MAX_ORDER:
+        raise ValueError("D(A) construction is limited to order %d" % D_OF_A_MAX_ORDER)
     g = ground if ground is not None else numbered_ground(n)
     if g.size != n:
         raise ValueError("ground size does not match matrix order")
-    bits = _code_bits(nonsingular_code(tuple(a.rows)), n)
-    fam = tuple(x for x in canonical_masks(n) if bits[x] == "1")
-    return DeltaMatroid._from_canonical(g, fam)
+    return DeltaMatroid._from_canonical(g, code_masks(nonsingular_code(tuple(a.rows)), n))
 
 
 @dataclass(frozen=True)
@@ -186,25 +183,20 @@ def column_matroid(b: Gf2Matrix, ground: Optional[GroundSet] = None) -> Matroid:
     return Matroid(g, bases)
 
 
-def reconstruct_candidate(normal: DeltaMatroid) -> Gf2SymmetricMatrix:
-    """The unique symmetric matrix consistent with a normal delta-matroid on
-    all subsets of size <= 2: the diagonal is forced by the singletons, the
-    off-diagonal by the pairs (A_vw = [{v,w} feasible] XOR A_vv*A_ww)."""
-    mem = normal.members
-    if 0 not in mem:
+def forced_matrix(n: int, feasible: Callable[[Mask], bool]) -> Gf2SymmetricMatrix:
+    """The unique symmetric matrix A of order n with D(A) agreeing with the
+    membership test `feasible` on every subset of size <= 2: the diagonal is
+    forced by the singletons, the off-diagonal by the pairs (A_vw =
+    [{v,w} feasible] XOR A_vv*A_ww).  Each set is tested once."""
+    if not feasible(0):
         raise ValueError("reconstruction needs the empty set feasible")
-    n = normal.ground.size
-    diag = [1 if (1 << i) in mem else 0 for i in range(n)]
-    rows = []
+    diag = [feasible(1 << i) for i in range(n)]
+    rows = [d << i for i, d in enumerate(diag)]
     for i in range(n):
-        row = diag[i] << i
-        for j in range(n):
-            if j == i:
-                continue
-            pair = (1 << i) | (1 << j)
-            bit = (1 if pair in mem else 0) ^ (diag[i] & diag[j])
-            row |= bit << j
-        rows.append(row)
+        for j in range(i):
+            if feasible((1 << i) | (1 << j)) != (diag[i] and diag[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Gf2SymmetricMatrix(tuple(rows))
 
 
@@ -227,14 +219,13 @@ class BinaryCertificate:
 def _representation_mismatch(
     normal: DeltaMatroid,
 ) -> tuple[Gf2SymmetricMatrix, Optional[Mask]]:
-    cand = reconstruct_candidate(normal)
+    n = normal.ground.size
+    cand = forced_matrix(n, normal.members.__contains__)
     diff = nonsingular_code(cand.rows) ^ sum(1 << m for m in normal.family)
     if not diff:
         return cand, None
     # the first differing subset in canonical order
-    n = normal.ground.size
-    bits = _code_bits(diff, n)
-    return cand, next(x for x in canonical_masks(n) if bits[x] == "1")
+    return cand, code_masks(diff, n)[0]
 
 
 def is_binary(d: DeltaMatroid) -> BinaryCertificate:

@@ -3,9 +3,10 @@
 A ribbon graph is stored as one cyclic half-edge sequence per vertex disc
 plus, per edge, its two half-edges and a twist sign.  Boundary components of
 spanning ribbon subgraphs are traced over int arrays on the two endpoints of
-each half-edge segment, four ends per edge.  The quasi-tree delta-matroid
-tests each of the 2^m edge subsets with a single walk, without recording it,
-and is limited to 16 edges.
+each half-edge segment, four ends per edge.  The quasi-tree delta-matroid is
+binary (Bouchet, "Maps and delta-matroids", 1989): twisted by a spanning tree
+T it is D(A), and A is forced by the O(m^2) edge sets T XOR x with |x| <= 2,
+one boundary walk each.  It is limited to the order D(A) is built for.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import DeltaMatroid, GroundSet, Mask, mask_of
+from .core import DeltaMatroid, GroundSet, ImproperSystemError, Mask
+from .gf2 import D_OF_A_MAX_ORDER, delta_matroid_from_symmetric, forced_matrix
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class _EndArrays(NamedTuple):
 
     side: tuple[int, ...]  # the end across the edge's free side, per end
     rotations: tuple[tuple[tuple[int, Mask], ...], ...]  # (half-edge, its edge bit) per vertex
-    incident: tuple[Mask, ...]  # the edges meeting each vertex
 
 
 @dataclass(frozen=True)
@@ -88,22 +89,21 @@ class RibbonGraph:
     @cached_property
     def _ends(self) -> _EndArrays:
         index = {h: 2 * i + k for i, e in enumerate(self.edges) for k, h in enumerate(e.ends)}
-        rotations = tuple(
-            tuple((index[h], 1 << (index[h] >> 1)) for h in rot) for rot in self.vertices
-        )
         return _EndArrays(
             # untwisted: 4i+1 (h1 b) to 4i+2 (h2 a) and 4i+3 (h2 b) to 4i (h1 a);
             # twisted: a to a and b to b
             tuple(x ^ (2 if self.edges[x >> 2].twisted else 3) for x in range(4 * len(self.edges))),
-            rotations,
-            tuple(mask_of(h >> 1 for h, _ in rot) for rot in rotations),
+            tuple(tuple((index[h], 1 << (index[h] >> 1)) for h in rot) for rot in self.vertices),
         )
 
-    def _arcs(self, a: Mask, arc: list[int]) -> list[list[int]]:
-        """Each vertex's half-edges in a, in rotation order; writes into arc
-        the arc partner of each of their ends.  Arcs join b of one kept
-        half-edge to a of the next around the vertex circle.  Entries of
-        other ends are left as they were."""
+    def _walk_ends(self, a: Optional[Mask]) -> list[tuple[int, ...]]:
+        """Boundary walks as end indices: one empty walk per bare vertex disc,
+        then one alternating side/arc cycle from each end not yet walked,
+        taken vertex by vertex in rotation order, a before b.  Arcs join b of
+        one kept half-edge to a of the next around the vertex circle."""
+        a = self._edge_set(a)
+        side = self._ends.side
+        arc = [0] * len(side)
         kept_at = []
         for rot in self._ends.rotations:
             kept = [h for h, bit in rot if a & bit]
@@ -114,15 +114,6 @@ class RibbonGraph:
                     arc[2 * h] = 2 * prev + 1
                     prev = h
             kept_at.append(kept)
-        return kept_at
-
-    def _walk_ends(self, a: Optional[Mask]) -> list[tuple[int, ...]]:
-        """Boundary walks as end indices: one empty walk per bare vertex disc,
-        then one alternating side/arc cycle from each end not yet walked,
-        taken vertex by vertex in rotation order, a before b."""
-        side = self._ends.side
-        arc = [0] * len(side)
-        kept_at = self._arcs(self._edge_set(a), arc)
         walks: list[tuple[int, ...]] = [() for kept in kept_at if not kept]
         seen = bytearray(len(side))
         for kept in kept_at:
@@ -161,49 +152,24 @@ class RibbonGraph:
     def boundary_components(self, a: Optional[Mask] = None) -> int:
         return len(self._walk_ends(a))
 
-    def _quasi_trees(self) -> list[Mask]:
-        """The edge sets a, in increasing order, whose spanning subgraph has a
-        single boundary component.
-
-        The empty set qualifies iff there is one vertex.  Otherwise a bare
-        vertex disc is a boundary of its own, and with none the boundary is
-        one component iff the walk from one end covers all 4|a| ends.
-        """
-        ends = self._ends
-        side, incident = ends.side, ends.incident
-        arc = [0] * len(side)
-        found = [0] if len(incident) == 1 else []
-        for a in range(1, 1 << len(self.edges)):
-            if any(not inc & a for inc in incident):
-                continue
-            self._arcs(a, arc)
-            start = 4 * ((a & -a).bit_length() - 1)
-            cur, walked = start, 0
-            while True:
-                cur = arc[side[cur]]
-                walked += 2
-                if cur == start:
-                    break
-            if walked == 4 * a.bit_count():
-                found.append(a)
-        return found
-
     # -- derived structures -----------------------------------------------------
 
-    def _signed_components(self, negative: Mask) -> tuple[int, bool]:
+    def _signed_components(self, negative: Mask) -> tuple[int, bool, Mask]:
         """Components of the underlying graph with the edges in `negative`
-        signed negative, and whether the signed graph is balanced: every
-        cycle, a loop included, has an even number of negative edges."""
+        signed negative, whether the signed graph is balanced (every cycle, a
+        loop included, has an even number of negative edges), and the edges
+        that first reach each vertex: a spanning forest."""
         v_of = self._vertex_of
-        incident: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        incident: list[list[tuple[int, int, Mask]]] = [[] for _ in self.vertices]
         for i, e in enumerate(self.edges):
             u, v = v_of[e.ends[0]], v_of[e.ends[1]]
             sign = (negative >> i) & 1
-            incident[u].append((v, sign))
-            incident[v].append((u, sign))
+            incident[u].append((v, sign, 1 << i))
+            incident[v].append((u, sign, 1 << i))
         side: dict[int, int] = {}
         components = 0
         balanced = True
+        forest = 0
         for root in range(len(self.vertices)):
             if root in side:
                 continue
@@ -212,27 +178,37 @@ class RibbonGraph:
             stack = [root]
             while stack:
                 u = stack.pop()
-                for v, sign in incident[u]:
+                for v, sign, bit in incident[u]:
                     want = side[u] ^ sign
                     if v not in side:
                         side[v] = want
+                        forest |= bit
                         stack.append(v)
                     elif side[v] != want:
                         balanced = False
-        return components, balanced
+        return components, balanced, forest
 
     def is_connected(self) -> bool:
         return self._signed_components(0)[0] <= 1
 
     def delta_matroid(self) -> DeltaMatroid:
         """Feasible sets are the quasi-trees: spanning ribbon subgraphs with a
-        single boundary component."""
-        if not self.is_connected():
+        single boundary component.
+
+        A spanning tree T is a quasi-tree, and the quasi-trees twisted by T
+        are D(A) for the A forced by the sets of size <= 2 (Bouchet, "Maps
+        and delta-matroids", 1989; Chun, Moffatt, Noble & Rueckriemen, JCTA
+        2019), so m(m+1)/2 + 1 boundary walks and one D(A) suffice."""
+        components, _, tree = self._signed_components(0)
+        if components > 1:
             raise ValueError("delta-matroid extraction requires a connected ribbon graph")
-        if len(self.edges) > 16:
-            raise ValueError("delta-matroid extraction is limited to 16 edges")
-        ground = GroundSet(self.edge_labels)
-        return DeltaMatroid(ground, tuple(self._quasi_trees()))
+        if len(self.edges) > D_OF_A_MAX_ORDER:
+            raise ValueError("delta-matroid extraction is limited to %d edges" % D_OF_A_MAX_ORDER)
+        if not components:
+            # with no vertex disc no spanning subgraph has a boundary
+            raise ImproperSystemError("delta-matroid family may not be empty")
+        a = forced_matrix(len(self.edges), lambda x: self.boundary_components(tree ^ x) == 1)
+        return delta_matroid_from_symmetric(a, GroundSet(self.edge_labels)).twist(tree)
 
     def petrial(self, a: Optional[Mask] = None) -> "RibbonGraph":
         """Flip the twist sign of every edge in a (default: all edges)."""

@@ -23,9 +23,11 @@ from .core import (
     EVEN,
     ODD,
     DeltaMatroid,
+    GroundSet,
     Mask,
     SetSystem,
     apply_permutation,
+    code_masks,
     exchange_violation_masks,
     indices_of,
     minor_masks,
@@ -243,10 +245,9 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
                         split_rejected += 1
                         break
                 else:
-                    code = c0 | c1 << half
-                    fam = tuple(m for m in range(1 << n) if code >> m & 1)
+                    fam = code_masks(c0 | c1 << half, n)
                     if exchange_violation_masks(fam) is None:
-                        out.append(DeltaMatroid(g, fam))
+                        out.append(DeltaMatroid._from_canonical(g, fam))
                     else:
                         exchange_rejected += 1
     logger.info(
@@ -277,18 +278,18 @@ def all_symmetric_matrices(n: int) -> tuple[Gf2SymmetricMatrix, ...]:
 
 @lru_cache(maxsize=None)
 def binary_delta_corpus_exact(n: int) -> tuple[DeltaMatroid, ...]:
-    """All twists of D(A) over all symmetric matrices of order n, deduplicated."""
+    """All twists D(A)*s over all symmetric matrices A of order n, each once:
+    a twist is kept only when s is its canonical minimum, as the normal form
+    D(A) then forces A (Bouchet, "Representability of delta-matroids", 1988)."""
     if not 0 <= n <= 4:
         raise ValueError("binary corpus generation is limited to 0 <= n <= 4")
     g = numbered_ground(n)
-    seen: set[tuple[Mask, ...]] = set()
     out = []
     for a in all_symmetric_matrices(n):
         base = delta_matroid_from_symmetric(a, g)
         for s in range(1 << n):
             d = base.twist(s)
-            if d.family not in seen:
-                seen.add(d.family)
+            if d.family[0] == s:
                 out.append(d)
     out.sort(key=lambda d: (len(d.family), d.family))
     return tuple(out)
@@ -752,12 +753,21 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
 def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     """Quasi-tree delta-matroids of the ribbon corpus: evenness matches
     orientability, the petrial criterion for bipartiteness, and the dual of a
-    bipartite graph is Eulerian (one direction only)."""
+    bipartite graph is Eulerian (one direction only).
+
+    The family comes from the definition, one boundary walk per edge subset,
+    so the check does not rest on the binarity RibbonGraph.delta_matroid
+    relies on; that method must return the same family."""
     name, g = item
     v = []
-    d = g.delta_matroid()
+    d = DeltaMatroid(
+        GroundSet(g.edge_labels),
+        tuple(a for a in range(1 << len(g.edges)) if g.boundary_components(a) == 1),
+    )
     if exchange_violation_masks(d.family) is not None:
         v.append("%s :: quasi-tree family violates symmetric exchange" % name)
+    if g.delta_matroid() != d:
+        v.append("%s :: delta_matroid differs from the quasi-tree family" % name)
     orientable = g.is_orientable()
     if (d.parity() == EVEN) != orientable:
         v.append("%s :: evenness/orientability mismatch" % name)

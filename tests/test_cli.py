@@ -332,6 +332,21 @@ def test_ribbon_to_dm_disconnected(tmp_path):
     assert code == 2
 
 
+def test_ribbon_to_dm_without_edges(tmp_path):
+    """One bare vertex disc has the one quasi-tree {}; with no vertex no
+    subgraph has a boundary, and the empty family is an error."""
+    p = tmp_path / "disc.rg"
+    p.write_text("vertex:\n")
+    assert run("ribbon", "to-dm", str(p)) == (0, "ground: \nfeasible: {}\n", "")
+    p = tmp_path / "none.rg"
+    p.write_text("# no vertex line\n")
+    assert run("ribbon", "to-dm", str(p)) == (
+        2,
+        "",
+        "error: %s: delta-matroid family may not be empty\n" % p,
+    )
+
+
 def test_bad_arguments_exit_2():
     code, _, _ = run("op", "explode", "x.dm")
     assert code == 2
@@ -363,10 +378,10 @@ def test_parser_reuse_matches_fresh_parsers(files, monkeypatch):
 
 
 def test_ribbon_to_dm_rejects_more_than_16_edges(tmp_path, monkeypatch):
-    def scan(self):
-        raise AssertionError("the subset scan started")
+    def walk(self, a):
+        raise AssertionError("a boundary walk started")
 
-    monkeypatch.setattr(RibbonGraph, "_quasi_trees", scan)
+    monkeypatch.setattr(RibbonGraph, "_walk_ends", walk)
     p = tmp_path / "big.rg"
     labels = [str(i) for i in range(1, 18)]
     rotation = " ".join(h for lab in labels for h in (lab + "a", lab + "b"))

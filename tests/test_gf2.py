@@ -20,10 +20,10 @@ from dmx.gf2 import (
     _representation_mismatch,
     column_matroid,
     delta_matroid_from_symmetric,
+    forced_matrix,
     gf2_rank,
     is_binary,
     nonsingular_code,
-    reconstruct_candidate,
 )
 from dmx.verify import NONBINARY_WITNESS, all_symmetric_matrices, delta_matroids_up_to
 from test_core import _random_symmetric
@@ -65,7 +65,7 @@ def _reference_witness(d: DeltaMatroid, twist_set: Mask) -> Optional[Mask]:
     """The first subset in canonical order where D of the reconstructed
     candidate and the normal twist disagree, found one subset at a time."""
     normal = d.twist(twist_set)
-    cand = reconstruct_candidate(normal)
+    cand = forced_matrix(normal.ground.size, normal.members.__contains__)
     return next(
         (
             x
@@ -211,12 +211,22 @@ def test_column_matroid():
     assert z.bases == (0,)
 
 
-def test_reconstruct_candidate_is_forced():
-    a = Gf2SymmetricMatrix((0b11, 0b11))
-    d = delta_matroid_from_symmetric(a)
-    assert reconstruct_candidate(d) == a
-    with pytest.raises(ValueError):
-        reconstruct_candidate(DeltaMatroid(numbered_ground(1), (0b1,)))
+def test_forced_matrix_reads_a_off_the_small_sets():
+    """forced_matrix recovers every A of order <= 3 from D(A), testing each
+    set of size <= 2 once, and refuses a test with the empty set infeasible."""
+    for n in range(4):
+        for a in all_symmetric_matrices(n):
+            members = delta_matroid_from_symmetric(a).members
+            asked = []
+
+            def feasible(x):
+                asked.append(x)
+                return x in members
+
+            assert forced_matrix(n, feasible) == a
+            assert sorted(asked) == [x for x in range(1 << n) if x.bit_count() <= 2]
+    with pytest.raises(ValueError, match="empty set feasible"):
+        forced_matrix(1, DeltaMatroid(numbered_ground(1), (0b1,)).members.__contains__)
 
 
 def test_is_binary_positive_with_certificate():
@@ -293,7 +303,7 @@ def test_failure_witness_on_large_nonbinary_sums():
             assert not cert.verdict
             assert cert.failure_witness == _reference_witness(d, cert.twist_set)
             normal = d.twist(cert.twist_set)
-            cand = reconstruct_candidate(normal)
+            cand = forced_matrix(normal.ground.size, normal.members.__contains__)
             smallest = next(
                 x
                 for x in range(1 << n)

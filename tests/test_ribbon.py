@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmx.core import exchange_violation_masks
+from dmx.core import canonical_sorted, exchange_violation_masks
 from dmx.ribbon import BoundaryTrace, RibbonEdge, RibbonGraph
 from dmx.verify import ribbon_corpus
 
@@ -254,9 +254,10 @@ def _differential_graphs():
 
 
 def test_boundary_kernels_match_reference():
-    """Trace, component count and quasi-tree scan against the tuple walk on
-    every subset of the corpus, 2000 random and six 8-10 edge graphs."""
-    subsets = quasi_trees = 0
+    """Trace and component count against the tuple walk on every subset of
+    the corpus, 2000 random and six 8-10 edge graphs; the delta-matroid of
+    each connected one against its quasi-trees found by that walk."""
+    subsets = quasi_trees = graphs = 0
     for g in _differential_graphs():
         single = []
         for a in range(1 << len(g.edges)):
@@ -265,7 +266,24 @@ def test_boundary_kernels_match_reference():
             assert g.boundary_components(a) == ref.components, (g, a)
             if ref.components == 1:
                 single.append(a)
-        assert g._quasi_trees() == single, g
+        if g.vertices and g.is_connected():
+            assert g.delta_matroid().family == tuple(canonical_sorted(single, len(g.edges))), g
+            graphs += 1
         subsets += 1 << len(g.edges)
         quasi_trees += len(single)
-    assert subsets > 20000 and quasi_trees > 2000
+    assert subsets > 20000 and quasi_trees > 2000 and graphs > 500
+
+
+def test_delta_matroid_of_large_graphs_matches_definition():
+    """Seeded connected graphs with 11-13 edges, orientable and not: the
+    delta-matroid against a scan of every edge subset for one boundary."""
+    rng = random.Random("dmx-ribbon-large")
+    orientable = []
+    for m in (11, 12, 13):
+        g = random_connected_rotation_system(rng, m)
+        untwisted = g.petrial(sum(1 << i for i, e in enumerate(g.edges) if e.twisted))
+        for h in (untwisted, g):
+            scan = [a for a in range(1 << m) if h.boundary_components(a) == 1]
+            assert h.delta_matroid().family == tuple(canonical_sorted(scan, m)), h
+            orientable.append(h.is_orientable())
+    assert orientable == [True, False] * 3

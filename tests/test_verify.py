@@ -5,6 +5,7 @@ import pytest
 
 from dmx import matroid, verify
 from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, numbered_ground
+from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.matroid import (
     Matroid,
     is_bipartite_delta,
@@ -12,6 +13,7 @@ from dmx.matroid import (
     lower_matroid,
     upper_matroid,
 )
+from dmx.ribbon import RibbonGraph
 from dmx.verify import (
     Counterexample,
     VerificationReport,
@@ -89,11 +91,23 @@ def test_symmetric_matrix_corpus():
     assert len(all_symmetric_matrices(3)) == 64
 
 
+def _binary_delta_corpus_reference(n):
+    """Every twist of every D(A) of order n, deduplicated by family."""
+    found = {}
+    for a in all_symmetric_matrices(n):
+        base = delta_matroid_from_symmetric(a, numbered_ground(n))
+        for s in range(1 << n):
+            d = base.twist(s)
+            found.setdefault(d.family, d)
+    return sorted(found.values(), key=lambda d: (len(d.family), d.family))
+
+
 def test_binary_corpus_is_deduplicated_and_valid():
-    corpus = binary_delta_corpus_exact(2)
-    fams = [d.family for d in corpus]
-    assert len(fams) == len(set(fams))
-    for d in corpus:
+    for n, count in enumerate((1, 3, 15, 135, 2295)):
+        corpus = binary_delta_corpus_exact(n)
+        assert len(corpus) == count
+        assert list(corpus) == _binary_delta_corpus_reference(n)
+    for d in binary_delta_corpus_exact(2):
         assert exchange_violation_masks(d.family) is None
 
 
@@ -145,6 +159,26 @@ def test_ribbon_corpus_coverage():
         and len(g.vertices) - len(g.edges) + g.boundary_components() == 2
         for g in corpus.values()
     )
+
+
+def test_ribbon_correspondence_catches_a_dropped_quasi_tree(monkeypatch):
+    """delta_matroid losing its last feasible set, where it has another,
+    fails the check with the clause that compares it with the definition."""
+    exact = RibbonGraph.delta_matroid
+
+    def dropped(self):
+        d = exact(self)
+        return DeltaMatroid._from_canonical(d.ground, d.family[:-1] or d.family)
+
+    monkeypatch.setattr(RibbonGraph, "delta_matroid", dropped)
+    corpus = ribbon_corpus()
+    mutated = [name for name, g in corpus if len(exact(g).family) > 1]
+    assert len(mutated) > len(corpus) // 2
+    report = verify.check_ribbon_correspondence()
+    assert not report.verdict and report.tested == len(corpus)
+    assert [c.detail for c in report.counterexamples] == [
+        "%s :: delta_matroid differs from the quasi-tree family" % name for name in mutated
+    ]
 
 
 def test_merge_reports_is_order_insensitive():
