@@ -241,6 +241,10 @@ def cmd_ribbon(args) -> int:
     if args.set is not None and args.action != "petrial":
         raise CliError("ribbon %s takes no --set argument" % args.action)
     graph = _parse_path(parse_rg, args.file)
+    if not graph.vertices:
+        # with no vertex disc no spanning subgraph has a boundary, so the
+        # quasi-tree family is empty: no action has a ribbon graph to use
+        raise CliError("%s: delta-matroid family may not be empty" % args.file)
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))
         print("orientable: %s" % ("yes" if graph.is_orientable() else "no"))

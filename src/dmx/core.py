@@ -47,6 +47,7 @@ def indices_of(mask: Mask) -> tuple[int, ...]:
 
 
 def mask_of(indices: Iterable[int]) -> Mask:
+    """The mask of a set of indices; of a family's masks, its indicator code."""
     m = 0
     for i in indices:
         m |= 1 << i
@@ -98,6 +99,43 @@ def code_masks(code: int, n: int) -> tuple[Mask, ...]:
     pass rather than a shift per mask."""
     bits = format(code, "0%db" % (1 << n))[::-1]
     return tuple(x for x in canonical_masks(n) if bits[x] == "1")
+
+
+@lru_cache(maxsize=None)
+def bit_clear_codes(n: int) -> tuple[int, ...]:
+    """Entry e: the 2^n-bit code of the masks x < 2^n whose bit e is clear."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) for e in range(n))
+
+
+@lru_cache(maxsize=None)
+def layer_codes(n: int) -> tuple[int, ...]:
+    """Entry k: the 2^n-bit code of the masks x < 2^n with k elements."""
+    layers = [0] * (n + 1)
+    for x in range(1 << n):
+        layers[x.bit_count()] |= 1 << x
+    return tuple(layers)
+
+
+def twist_code(code: int, e: int, n: int) -> int:
+    """The code of a family on n elements twisted by {e}: the butterfly that
+    swaps the sets without e and the sets with e, 2^e bit positions apart."""
+    keep = bit_clear_codes(n)[e]
+    shift = 1 << e
+    return (code & keep) << shift | (code >> shift) & keep
+
+
+def twist_codes(code: int, n: int) -> list[int]:
+    """The codes of the family twisted by every a < 2^n, indexed by a.
+
+    By doubling: the twists by the subsets of {0..e-1} are twisted by {e}
+    once each, so each of the 2^n - 1 twists costs one butterfly of
+    twist_code, written out here to save a call per twist."""
+    codes = [code]
+    for e, keep in enumerate(bit_clear_codes(n)):
+        shift = 1 << e
+        codes += [(c & keep) << shift | (c >> shift) & keep for c in codes]
+    return codes
 
 
 def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:

@@ -4,7 +4,6 @@ vector matroids, and the binary-representability decision."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .core import (
@@ -13,7 +12,9 @@ from .core import (
     Mask,
     code_masks,
     indices_of,
+    mask_of,
     numbered_ground,
+    twist_code,
 )
 from .matroid import Matroid
 
@@ -69,12 +70,6 @@ _MEMO_ORDER = 4
 _small_codes: dict[tuple[int, ...], int] = {}
 
 
-@lru_cache(maxsize=None)
-def _index_bit_clear(k: int, h: int) -> int:
-    """The 2^h-bit mask of the indices x < 2^h whose bit k is clear."""
-    return ((1 << (1 << h)) - 1) // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1)
-
-
 def nonsingular_code(rows: tuple[int, ...]) -> int:
     """The 2^n-bit indicator of D(A): bit x is set iff A[x] is nonsingular,
     for the symmetric matrix A with these rows (A[empty] is nonsingular).
@@ -124,9 +119,7 @@ def nonsingular_code(rows: tuple[int, ...]) -> int:
             pivoted.append(r)
         c = nonsingular_code(tuple(pivoted))
         # the sets with h are the sets y XOR {k} for y in that code
-        keep = _index_bit_clear(k, h)
-        shift = 1 << k
-        with_h = (c & keep) << shift | (c >> shift) & keep
+        with_h = twist_code(c, k, h)
     else:
         with_h = 0
     code |= with_h << (1 << h)
@@ -221,7 +214,7 @@ def _representation_mismatch(
 ) -> tuple[Gf2SymmetricMatrix, Optional[Mask]]:
     n = normal.ground.size
     cand = forced_matrix(n, normal.members.__contains__)
-    diff = nonsingular_code(cand.rows) ^ sum(1 << m for m in normal.family)
+    diff = nonsingular_code(cand.rows) ^ mask_of(normal.family)
     if not diff:
         return cand, None
     # the first differing subset in canonical order

@@ -3,8 +3,9 @@ Eulerian/bipartite classification (lifted to delta-matroids through the lower
 matroid).
 
 Circuits, the first odd circuit and the Eulerian partition depend only on the
-ground size and the canonical base tuple, so they are computed once per
-(n, bases) key in a bounded module-level cache, whatever the labels.
+ground size and the bases, so they are computed once per (n, base code) key,
+the code with bit B set for each base B, in a bounded module-level cache,
+whatever the labels.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from .core import (
     Mask,
     SetSystem,
     canonical_masks,
+    code_masks,
     exchange_violation_masks,
+    layer_codes,
+    mask_of,
 )
 
 # Distinct matroids kept by the classification cache; a verify run at
@@ -87,7 +91,7 @@ class Matroid(DeltaMatroid):
     @cached_property
     def circuits(self) -> tuple[Mask, ...]:
         """Inclusion-minimal dependent sets, in canonical order."""
-        return _classification(self.ground.size, self.family).circuits
+        return _classification(self.ground.size, mask_of(self.family)).circuits
 
     def dual(self) -> "Matroid":
         """Bases are the complements of bases; coincides with the twist by E."""
@@ -161,15 +165,15 @@ class _Classification:
 
 
 @lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
-def _classification(n: int, bases: tuple[Mask, ...]) -> _Classification:
+def _classification(n: int, bases: int) -> _Classification:
     """Circuits, first odd circuit and Eulerian partition of the matroid on
-    n elements with the given canonical bases.
+    n elements whose bases have the indicator code `bases`.
 
     A dependent set is a circuit iff removing any one element leaves it
     independent, so one scan of the subsets in canonical order finds the
     circuits in canonical order.
     """
-    ind = _independent_sets(bases)
+    ind = _independent_sets(code_masks(bases, n))
     circuits = []
     for m in canonical_masks(n):
         if m in ind:
@@ -191,7 +195,7 @@ def _classification(n: int, bases: tuple[Mask, ...]) -> _Classification:
 
 
 def classify_matroid(m: Matroid) -> ClassificationReport:
-    return _classification(m.ground.size, m.family).report
+    return _classification(m.ground.size, mask_of(m.family)).report
 
 
 def lower_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
@@ -200,9 +204,24 @@ def lower_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
     return family[: bisect_right(family, family[0].bit_count(), key=int.bit_count)]
 
 
+def lower_code(code: int, n: int) -> int:
+    """The bases of the lower matroid of a nonempty family on n elements, as
+    a code: the first nonzero layer of the family's code."""
+    for layer in layer_codes(n):
+        low = code & layer
+        if low:
+            return low
+    raise ImproperSystemError("the lower matroid of an empty family is undefined")
+
+
 def classify_family(n: int, family: tuple[Mask, ...]) -> ClassificationReport:
     """classify_delta of a nonempty canonical family on n elements."""
-    return _classification(n, lower_bases(family)).report
+    return _classification(n, mask_of(lower_bases(family))).report
+
+
+def classify_code(n: int, code: int) -> ClassificationReport:
+    """classify_family of the family with this code."""
+    return _classification(n, lower_code(code, n)).report
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:

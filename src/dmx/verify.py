@@ -27,26 +27,32 @@ from .core import (
     Mask,
     SetSystem,
     apply_permutation,
+    bit_clear_codes,
+    canonical_masks,
     code_masks,
     exchange_violation_masks,
     indices_of,
+    mask_of,
     minor_masks,
     numbered_ground,
+    twist_codes,
     twist_masks,
 )
 from .gf2 import (
     Gf2Matrix,
     Gf2SymmetricMatrix,
     column_matroid,
-    delta_matroid_from_symmetric,
     is_binary,
+    nonsingular_code,
 )
 from .matroid import (
     Matroid,
+    classify_code,
     classify_family,
     is_bipartite_delta,
     is_eulerian_delta,
     lower_bases,
+    lower_code,
     lower_matroid,
     upper_matroid,
 )
@@ -227,7 +233,7 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
     else:
         half = 1 << (n - 1)
         quarter = half >> 1
-        parts = [0] + [sum(1 << m for m in d.family) for d in delta_matroids_exact(n - 1)]
+        parts = [0] + [mask_of(d.family) for d in delta_matroids_exact(n - 1)]
         allowed = set(parts)
         splits = [_split_table(n - 1, e) for e in range(n - 1)]
         out = []
@@ -280,17 +286,30 @@ def all_symmetric_matrices(n: int) -> tuple[Gf2SymmetricMatrix, ...]:
 def binary_delta_corpus_exact(n: int) -> tuple[DeltaMatroid, ...]:
     """All twists D(A)*s over all symmetric matrices A of order n, each once:
     a twist is kept only when s is its canonical minimum, as the normal form
-    D(A) then forces A (Bouchet, "Representability of delta-matroids", 1988)."""
+    D(A) then forces A (Bouchet, "Representability of delta-matroids", 1988).
+
+    The twists are codes from twist_codes.  The empty set is in D(A), so s is
+    in D(A)*s, and s is its minimum iff no mask ranked before s is."""
     if not 0 <= n <= 4:
         raise ValueError("binary corpus generation is limited to 0 <= n <= 4")
     g = numbered_ground(n)
-    out = []
-    for a in all_symmetric_matrices(n):
-        base = delta_matroid_from_symmetric(a, g)
-        for s in range(1 << n):
-            d = base.twist(s)
-            if d.family[0] == s:
-                out.append(d)
+    # entry s: the code of the masks ranked before s
+    before = [0] * (1 << n)
+    seen = 0
+    for m in canonical_masks(n):
+        before[m] = seen
+        seen |= 1 << m
+    matrices = all_symmetric_matrices(n)
+    out = [
+        DeltaMatroid._from_canonical(g, code_masks(code, n))
+        for a in matrices
+        for s, code in enumerate(twist_codes(nonsingular_code(a.rows), n))
+        if not code & before[s]
+    ]
+    logger.info(
+        "binary delta-matroid corpus: n=%d matrices=%d twists=%d kept=%d",
+        n, len(matrices), len(matrices) << n, len(out),
+    )
     out.sort(key=lambda d: (len(d.family), d.family))
     return tuple(out)
 
@@ -456,28 +475,41 @@ def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int
 
 
 def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
-    """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e; both
-    sides live on the same ground, so their families are compared."""
-    fam = d.family
-    dmin = lower_bases(fam)
+    """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e.
+
+    Both sides are compared as codes on the ground of D, e kept in place:
+    the sets of D \\ e are the code's sets without e.  A coloop e of the
+    lower matroid is contracted instead, so its bases lose e, which moves
+    them 2^e bit positions down."""
+    n = d.ground.size
+    code = mask_of(d.family)
+    cmin = lower_code(code, n)
     return [
         e
-        for e in range(d.ground.size)
-        if not d.is_coloop(e)
-        and lower_bases(minor_masks(fam, 1 << e, 0)) != minor_masks(dmin, 1 << e, 0)
+        for e, keep in enumerate(bit_clear_codes(n))
+        if code & keep
+        and lower_code(code & keep, n) != (cmin & keep or (cmin >> (1 << e)) & keep)
     ]
+
+
+@lru_cache(maxsize=None)
+def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row F, for every F < 2^n: the sizes |F & A| for every A < 2^n."""
+    cap = 1 << n
+    return tuple(tuple((f & a).bit_count() for a in range(cap)) for f in range(cap))
 
 
 def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask]:
     """The A in subsets that some feasible set meets in fewer elements than
-    every lower-matroid base does."""
-    dmin = lower_bases(d.family)
-    return [
-        a
-        for a in subsets
-        if min((f & a).bit_count() for f in d.family)
-        < min((b & a).bit_count() for b in dmin)
-    ]
+    every lower-matroid base does.  The minima over a family for every A come
+    from one elementwise min over its rows of the meet table; the first row
+    goes in twice, so min gets at least two arguments."""
+    rows = _meet_table(d.ground.size)
+    fam = [rows[f] for f in d.family]
+    meet = list(map(min, fam[0], *fam))
+    bases = [rows[b] for b in lower_bases(d.family)]
+    base_meet = list(map(min, bases[0], *bases))
+    return [a for a in subsets if meet[a] < base_meet[a]]
 
 
 def _min_deletion(d: DeltaMatroid) -> list[str]:
@@ -622,15 +654,19 @@ def _deletion_bipartite(d: DeltaMatroid) -> list[str]:
 
 
 def _contraction_bipartite(d: DeltaMatroid) -> list[str]:
-    """If a twist D*A is bipartite then D*/A^c and D/A are bipartite."""
+    """If a twist D*A is bipartite then D*/A^c and D/A are bipartite.  The
+    twists are classified by their codes; the dual's family is built only
+    when some twist is bipartite."""
     n = d.ground.size
     full = (1 << n) - 1
     fam = d.family
-    dual = twist_masks(fam, full, n)
+    dual = None
     v = []
-    for a in range(1 << n):
-        if not classify_family(n, twist_masks(fam, a, n)).bipartite:
+    for a, code in enumerate(twist_codes(mask_of(fam), n)):
+        if not classify_code(n, code).bipartite:
             continue
+        if dual is None:
+            dual = twist_masks(fam, full, n)
         k = a.bit_count()
         if not classify_family(k, minor_masks(dual, 0, full ^ a)).bipartite:
             v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
@@ -680,6 +716,9 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
     d, key = item
     n = d.ground.size
     cap = 1 << n
+    # each twist of d, and its dual, is built once
+    twist = lru_cache(maxsize=None)(d.twist)
+    dual = d.dual()
     v = []
 
     def flag(msg):
@@ -699,22 +738,22 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
             minor_pairs.append((dl, rng.randrange(cap) & ~dl))
 
     for a, b in pairs:
-        if d.twist(a).twist(b) != d.twist(a ^ b):
+        if twist(a).twist(b) != twist(a ^ b):
             flag("twist group law fails")
             break
-    if d.dual().dual() != d:
+    if dual.dual() != d:
         flag("dual is not an involution")
     for e in range(n):
         bit = 1 << e
         lab = d.ground.labels[e]
-        if d.contract(e) != d.twist(bit).delete(e):
+        if d.contract(e) != twist(bit).delete(e):
             flag("D/e != (D*e)\\e at %s" % lab)
             break
-        if d.delete(e) != d.twist(bit).contract(e):
+        if d.delete(e) != twist(bit).contract(e):
             flag("D\\e != (D*e)/e at %s" % lab)
             break
     for x in subsets:
-        if d.minor(delete=x) != d.dual().minor(contract=x).dual():
+        if d.minor(delete=x) != dual.minor(contract=x).dual():
             flag("deletion-via-dual identity fails")
             break
     for x in subsets:
@@ -740,7 +779,7 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
             flag("minor order dependence")
             break
     for a in subsets:
-        if d.twist(a).parity() != d.parity():
+        if twist(a).parity() != d.parity():
             flag("parity not twist-invariant")
             break
     if _deletion_minimum_failures(d):

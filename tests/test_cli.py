@@ -347,6 +347,23 @@ def test_ribbon_to_dm_without_edges(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv", [("classify",), ("petrial",), ("petrial", "--set", "")])
+def test_ribbon_without_vertex_is_rejected(tmp_path, argv):
+    """A file with no vertex line is rejected by every ribbon action, with
+    the error to-dm gives: no spanning subgraph has a boundary."""
+    p = tmp_path / "none.rg"
+    p.write_text("# no vertex line\n")
+    assert run("ribbon", *argv, str(p)) == (
+        2,
+        "",
+        "error: %s: delta-matroid family may not be empty\n" % p,
+    )
+    # one bare vertex disc is a ribbon graph
+    p.write_text("vertex:\n")
+    code, out, err = run("ribbon", *argv, str(p))
+    assert code == 0 and out and err == ""
+
+
 def test_bad_arguments_exit_2():
     code, _, _ = run("op", "explode", "x.dm")
     assert code == 2

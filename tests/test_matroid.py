@@ -2,17 +2,31 @@ import itertools
 
 import pytest
 
-from dmx.core import DeltaMatroid, SetSystem, numbered_ground
+from dmx.core import (
+    DeltaMatroid,
+    SetSystem,
+    code_masks,
+    mask_of,
+    numbered_ground,
+    twist_code,
+    twist_codes,
+    twist_masks,
+)
 from dmx.matroid import (
     Matroid,
     MatroidError,
+    classify_code,
     classify_delta,
+    classify_family,
     classify_matroid,
     is_bipartite_delta,
     is_eulerian_delta,
+    lower_bases,
+    lower_code,
     lower_matroid,
     upper_matroid,
 )
+from dmx.verify import delta_matroids_up_to, random_delta_matroids
 
 
 def matroid(labels, bases):
@@ -223,3 +237,39 @@ def test_classification_ignores_labels():
     b = matroid("xyz", ["xy", "xz"])
     assert a.circuits == b.circuits == (0b110,)
     assert classify_matroid(a) == classify_matroid(b)
+
+
+def _assert_code_kernels_match_masks(n, family, classify=False):
+    """twist_codes and the layer read of the lower matroid against
+    twist_masks and lower_bases, for every twist of a canonical family."""
+    codes = twist_codes(mask_of(family), n)
+    assert len(codes) == 1 << n
+    for e in range(n):
+        assert twist_code(codes[0], e, n) == codes[1 << e]
+    for a, code in enumerate(codes):
+        twisted = twist_masks(family, a, n)
+        assert code_masks(code, n) == twisted
+        assert code_masks(lower_code(code, n), n) == lower_bases(twisted)
+        if classify:
+            assert classify_code(n, code) == classify_family(n, twisted)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_code_kernels_match_masks_on_every_small_family(n):
+    for code in range(1, 1 << (1 << n)):
+        _assert_code_kernels_match_masks(n, code_masks(code, n))
+
+
+def test_code_kernels_match_masks_on_exhaustive_delta_matroids():
+    for d in delta_matroids_up_to(4):
+        _assert_code_kernels_match_masks(d.ground.size, d.family, classify=True)
+
+
+def test_code_kernels_match_masks_on_random_delta_matroids():
+    for d in random_delta_matroids(8, 17, 30):
+        _assert_code_kernels_match_masks(8, d.family)
+
+
+def test_lower_code_of_empty_code_is_an_error():
+    with pytest.raises(ValueError, match="empty family"):
+        lower_code(0, 3)

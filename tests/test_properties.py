@@ -1,9 +1,15 @@
 """Property tests of the minor and twist identities and of their mask
-kernels on seeded random delta-matroids, and of the file-format round
-trips."""
+kernels on seeded random delta-matroids, of the file-format round trips,
+and of the CLI's exit codes on arbitrary files."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from dmx.cli import main
 
 from dmx.core import (
     exchange_violation_masks,
@@ -138,3 +144,78 @@ def test_dm_file_round_trip(d):
 @given(symmetric_matrices())
 def test_gf2_file_round_trip(a):
     assert parse_gf2(dump_gf2(a)) == a
+
+
+_CLI_ACTIONS = [
+    ("check",), ("classify",), ("ribbon", "classify"), ("ribbon", "to-dm"), ("ribbon", "petrial"),
+]
+
+
+@st.composite
+def _dm_lines(draw):
+    n = draw(st.integers(0, 4))
+    labels = [str(i + 1) for i in range(n)]
+    head = draw(st.sampled_from([[], ["kind: matroid"], ["kind: delta-matroid"]]))
+    sets = draw(st.lists(st.lists(st.sampled_from(labels + ["x"]), max_size=3), max_size=8))
+    feasible = ["feasible: {%s}" % ",".join(s) for s in sets]
+    return head + ["ground: " + " ".join(labels)] + feasible
+
+
+@st.composite
+def _gf2_lines(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    head = draw(st.sampled_from(["gf2sym %d" % rows, "gf2 %d %d" % (rows, cols)]))
+    width = rows if head.startswith("gf2sym") else cols
+    return [head] + ["".join(draw(st.lists(st.sampled_from("01"), min_size=width, max_size=width)))
+                     for _ in range(rows)]
+
+
+@st.composite
+def _rg_lines(draw):
+    m = draw(st.integers(0, 4))
+    halves = draw(st.permutations([h for i in range(m) for h in ("%da" % i, "%db" % i)]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(halves)), max_size=3)))
+    bounds = [0] + cuts + [len(halves)]
+    vertices = ["vertex: " + " ".join(halves[a:b]) for a, b in zip(bounds, bounds[1:])]
+    edges = ["edge: %d %da %db %s" % (i, i, i, draw(st.sampled_from("+-"))) for i in range(m)]
+    return vertices + edges
+
+
+_FILE_LINES = {".dm": _dm_lines(), ".gf2": _gf2_lines(), ".rg": _rg_lines()}
+
+
+@st.composite
+def cli_files(draw):
+    """A file suffix and mostly well-formed text in some format; half of the
+    files then lose a line, or get one line of arbitrary text."""
+    suffix = draw(st.sampled_from(sorted(_FILE_LINES)))
+    lines = draw(_FILE_LINES[draw(st.sampled_from([suffix, suffix, ".dm", ".gf2", ".rg"]))])
+    damage = draw(st.sampled_from(["none", "none", "drop", "insert"]))
+    if damage == "drop" and lines:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif damage == "insert":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return suffix, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(deterministic, max_examples=100)
+@given(cli_files())
+def test_cli_exit_codes_on_arbitrary_files(fuzz_dir, case):
+    """Every action on any file exits 0, 1 or 2, and never with a traceback:
+    a bad file is one error line on stderr."""
+    suffix, text = case
+    path = fuzz_dir / ("input" + suffix)
+    path.write_text(text, encoding="utf-8")
+    for action in _CLI_ACTIONS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*action, str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dmx import matroid, verify
-from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, numbered_ground
+from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, layer_codes, numbered_ground
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.matroid import (
     Matroid,
@@ -109,6 +109,15 @@ def test_binary_corpus_is_deduplicated_and_valid():
         assert list(corpus) == _binary_delta_corpus_reference(n)
     for d in binary_delta_corpus_exact(2):
         assert exchange_violation_masks(d.family) is None
+
+
+def test_binary_corpus_logs_its_counts(caplog):
+    # the uncached function, so the record is emitted whatever ran before
+    with caplog.at_level(logging.INFO, logger="dmx.verify"):
+        binary_delta_corpus_exact.__wrapped__(3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "binary delta-matroid corpus: n=3 matrices=64 twists=512 kept=135"
+    ]
 
 
 def test_binary_matroid_corpus():
@@ -253,9 +262,22 @@ def _upper_bases(family):
     return tuple(m for m in family if m.bit_count() == top)
 
 
+def _upper_layer(code, n):
+    """Mutant of lower_code: the last nonzero layer of the code, i.e. the
+    upper matroid's bases as a code."""
+    return next(code & layer for layer in reversed(layer_codes(n)) if code & layer)
+
+
+def _patch_upper_mutant(monkeypatch, *modules):
+    """Swap lower bases for upper ones in both reads, masks and codes."""
+    for module in modules:
+        monkeypatch.setattr(module, "lower_bases", _upper_bases)
+        monkeypatch.setattr(module, "lower_code", _upper_layer)
+
+
 def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
     # both checks built on the deletion/minimum identity must catch it
-    monkeypatch.setattr(verify, "lower_bases", _upper_bases)
+    _patch_upper_mutant(monkeypatch, verify)
     names = ["min_deletion", "operation_calculus"]
     one = run_suite(names, max_n=3, seed=2, shards=1)
     three = run_suite(names, max_n=3, seed=2, shards=3)
@@ -377,9 +399,10 @@ def test_mask_checks_match_label_references_under_mutants(
     assert len(got) == failing
 
 
-# The object-level versions of the checks that run on masks in dmx.verify,
-# kept as references.  They classify through dmx.matroid, whose
-# lower_bases is the name a lower/upper mutant patches for both versions.
+# The object-level versions of the checks that run on masks or codes in
+# dmx.verify, kept as references.  They classify through dmx.matroid, whose
+# lower_bases and lower_code are the names a lower/upper mutant patches for
+# both versions.
 
 
 def _min_deletion_reference(d):
@@ -449,6 +472,35 @@ def _bipartite_dual_eulerian_reference(pair):
     return []
 
 
+@pytest.mark.parametrize("mutant", [False, True], ids=["lower", "upper_mutant"])
+@pytest.mark.parametrize("n, count", [(5, 200), (6, 150), (8, 60)])
+def test_operation_calculus_helpers_match_object_references(monkeypatch, n, count, mutant):
+    """The deletion identity and the intersection bound that
+    operation_calculus samples beyond the exhaustive corpus, on every
+    element and every A of seeded random instances; under the upper mutant
+    both versions must fail, and on the same elements and sets."""
+    if mutant:
+        _patch_upper_mutant(monkeypatch, matroid, verify)
+    failing = 0
+    for d in random_delta_matroids(n, 23, count):
+        dmin = lower_matroid(d)
+        deletion = verify._deletion_minimum_failures(d)
+        assert deletion == [
+            e
+            for e in range(n)
+            if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
+        ]
+        bound = verify._lower_bound_failures(d, range(1 << n))
+        assert bound == [
+            a
+            for a in range(1 << n)
+            if min((f & a).bit_count() for f in d.family)
+            < min((b & a).bit_count() for b in dmin.family)
+        ]
+        failing += bool(deletion) + bool(bound)
+    assert bool(failing) == mutant
+
+
 _OBJECT_CASES = [
     ("_min_deletion", _min_deletion_reference, lambda: delta_matroids_up_to(4), 1000, 1025),
     ("_deletion_bipartite", _deletion_bipartite_reference,
@@ -481,8 +533,7 @@ def test_mask_checks_match_object_references_under_upper_mutant(
     """Lower bases swapped for upper ones in both versions: equal reports
     where the checks do fail.  Failing instances make long reports, so a
     seeded sample of the corpus keeps this to about a second."""
-    monkeypatch.setattr(matroid, "lower_bases", _upper_bases)
-    monkeypatch.setattr(verify, "lower_bases", _upper_bases)
+    _patch_upper_mutant(monkeypatch, matroid, verify)
     items = corpus()
     items = [items[i] for i in sorted(random.Random(9).sample(range(len(items)), sample))]
     got = _violations(getattr(verify, check), items)
