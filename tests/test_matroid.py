@@ -26,7 +26,7 @@ from dmx.matroid import (
     lower_matroid,
     upper_matroid,
 )
-from dmx.verify import delta_matroids_up_to, random_delta_matroids
+from dmx.verify import binary_matroids_up_to, delta_matroids_up_to, random_delta_matroids
 
 
 def matroid(labels, bases):
@@ -200,8 +200,6 @@ def reference_eulerian_partition(n, circuits):
 
 
 def classification_corpus():
-    from dmx.verify import binary_matroids_up_to, delta_matroids_up_to
-
     yield from binary_matroids_up_to(5)
     for d in delta_matroids_up_to(4):
         yield lower_matroid(d)
@@ -223,8 +221,6 @@ def test_cached_classification_matches_reference():
 
 
 def test_delta_classification_matches_lower_matroid():
-    from dmx.verify import delta_matroids_up_to
-
     for d in delta_matroids_up_to(4):
         low = lower_matroid(d)
         assert is_bipartite_delta(d) == low.is_bipartite(), d
