@@ -32,6 +32,7 @@ from .formats import (
 )
 from .gf2 import BINARY_MAX_N, Gf2SymmetricMatrix, delta_matroid_from_symmetric, is_binary
 from .matroid import Matroid, MatroidError, classify_delta, lower_matroid
+from .ribbon import RibbonGraph
 
 
 class CliError(Exception):
@@ -77,6 +78,16 @@ def _check_classify_size(path: str, n: int) -> None:
         raise CliError(
             "%s: classification is limited to ground size %d, got %d" % (path, BINARY_MAX_N, n)
         )
+
+
+NO_VERTEX_REASON = "no vertex disc (no vertex: line), so no spanning subgraph has a boundary"
+
+
+def _has_vertex(graph: RibbonGraph) -> bool:
+    """Whether a parsed .rg file is a ribbon graph.  With no vertex disc no
+    spanning subgraph has a boundary, so the quasi-tree family is empty and
+    no ribbon action has a graph to use; check reports it invalid."""
+    return bool(graph.vertices)
 
 
 def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
@@ -129,7 +140,11 @@ def cmd_check(args) -> int:
         print("kind: ribbon")
         print("vertices: %d" % len(graph.vertices))
         print("edges: %d" % len(graph.edges))
-        print("valid: yes")
+        if _has_vertex(graph):
+            print("valid: yes")
+        else:
+            print("valid: no")
+            print("reason: %s" % NO_VERTEX_REASON)
         return 0
     raise CliError("%s: unknown file extension %r (expected .dm, .gf2 or .rg)" % (path, suffix))
 
@@ -241,9 +256,7 @@ def cmd_ribbon(args) -> int:
     if args.set is not None and args.action != "petrial":
         raise CliError("ribbon %s takes no --set argument" % args.action)
     graph = _parse_path(parse_rg, args.file)
-    if not graph.vertices:
-        # with no vertex disc no spanning subgraph has a boundary, so the
-        # quasi-tree family is empty: no action has a ribbon graph to use
+    if not _has_vertex(graph):
         raise CliError("%s: delta-matroid family may not be empty" % args.file)
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))

@@ -145,12 +145,30 @@ def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:
     return sorted(masks, key=family_sort_key)
 
 
+def parity_masks(family: Sequence[Mask]) -> str:
+    """EVEN when every set of a nonempty family has the parity of the first."""
+    p = family[0].bit_count() & 1
+    return EVEN if all(m.bit_count() & 1 == p for m in family) else ODD
+
+
 def twist_masks(family: Iterable[Mask], a: Mask, n: int) -> tuple[Mask, ...]:
     """The canonical family {F XOR a : F in family} on an n-element ground.
 
     XOR by an in-range a permutes the subsets, so only the order changes.
     """
     return tuple(canonical_sorted([m ^ a for m in family], n))
+
+
+def loop_complement_masks(family: Iterable[Mask], a: Mask, n: int) -> tuple[Mask, ...]:
+    """The canonical loop complement of a family on an n-element ground by a:
+    element by element over a, toggle F+e for every member F without e.
+
+    The toggles by different elements commute, so the order does not matter.
+    """
+    fam = set(family)
+    for bit in iter_bits(a):
+        fam ^= {m | bit for m in fam if not m & bit}
+    return tuple(canonical_sorted(fam, n))
 
 
 def minor_masks(family: Sequence[Mask], delete: Mask, contract: Mask) -> tuple[Mask, ...]:
@@ -166,14 +184,17 @@ def minor_masks(family: Sequence[Mask], delete: Mask, contract: Mask) -> tuple[M
     # agree on the element (all stay if none is on the wanted side).  Sets
     # of equal size compare by whether the least element of their difference
     # lies in the first; that is never the dropped one, so the order holds.
+    # Each step filters and shifts in one pass.
     fam = family
     rest = delete | contract
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         rest ^= bit
         side, low = contract & bit, bit - 1
-        kept = [m for m in fam if m & bit == side] or fam
-        fam = [m & low | (m >> 1) & ~low for m in kept]
+        high = ~low
+        fam = [m & low | m >> 1 & high for m in fam if m & bit == side] or [
+            m & low | m >> 1 & high for m in fam
+        ]
     return tuple(fam)
 
 
@@ -320,10 +341,7 @@ class SetSystem:
     def parity(self) -> str:
         if not self.family:
             raise ImproperSystemError("parity of an improper system is undefined")
-        p = self.family[0].bit_count() & 1
-        if all(m.bit_count() & 1 == p for m in self.family):
-            return EVEN
-        return ODD
+        return parity_masks(self.family)
 
     # -- twist / dual / loop complementation --------------------------------
 
@@ -338,18 +356,17 @@ class SetSystem:
         return self.twist(self.ground.full_mask)
 
     def loop_complement(self, a: Mask) -> "SetSystem":
-        """Toggle F+e membership element by element over a; order-independent.
+        """Toggle F+e membership element by element over a (see
+        loop_complement_masks).
 
         The result need not satisfy the exchange axiom, so it is returned as a
         plain SetSystem; validate_delta_matroid checks the axiom.
         """
         self._check_mask(a)
-        fam = set(self.family)
-        for bit in iter_bits(a):
-            fam ^= {m | bit for m in fam if not m & bit}
+        fam = loop_complement_masks(self.family, a, len(self.ground.labels))
         if not fam:
             raise ImproperSystemError("loop complementation produced an empty family")
-        return SetSystem(self.ground, tuple(fam))
+        return SetSystem._from_canonical(self.ground, fam)
 
     # -- minors --------------------------------------------------------------
 

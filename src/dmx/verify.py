@@ -32,9 +32,12 @@ from .core import (
     code_masks,
     exchange_violation_masks,
     indices_of,
+    iter_bits,
+    loop_complement_masks,
     mask_of,
     minor_masks,
     numbered_ground,
+    parity_masks,
     twist_codes,
     twist_masks,
 )
@@ -392,9 +395,12 @@ def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, 
             else:
                 rejected += 1
         out.append(DeltaMatroid(g, tuple(fam)))
+    sizes = [len(d.family) for d in out]
     logger.info(
-        "random delta-matroid corpus: n=%d seed=%d count=%d rejected=%d",
+        "random delta-matroid corpus: n=%d seed=%d count=%d rejected=%d "
+        "family_size_min=%d family_size_mean=%.2f family_size_max=%d",
         n, seed, count, rejected,
+        min(sizes, default=0), sum(sizes) / max(count, 1), max(sizes, default=0),
     )
     return tuple(out)
 
@@ -684,14 +690,6 @@ def _lower_bound(d: DeltaMatroid) -> list[str]:
     ]
 
 
-def _apply_ops(d: SetSystem, ops: Iterable[tuple[str, str]]) -> SetSystem:
-    cur = d
-    for kind, label in ops:
-        e = cur.ground.index(label)
-        cur = cur.delete(e) if kind == "d" else cur.contract(e)
-    return cur
-
-
 def _operation_calculus_corpus(
     max_n: int, seed: int, random_count: int = 200
 ) -> list[tuple[DeltaMatroid, Optional[str]]]:
@@ -707,18 +705,55 @@ def _operation_calculus_corpus(
     return items
 
 
+def _odd_interval_family(fam: Iterable[Mask], x: Mask) -> set[Mask]:
+    """The sets y covering an odd number of intervals [z, z | x] with z
+    feasible: the loop complement by x by its definition, read from the
+    feasible side.  Each z toggles z | s for every subset s of x - z."""
+    odd: set[Mask] = set()
+    for z in fam:
+        free = x & ~z
+        s = free
+        while True:
+            y = z | s
+            if y in odd:
+                odd.remove(y)
+            else:
+                odd.add(y)
+            if not s:
+                break
+            s = (s - 1) & free
+    return odd
+
+
+def _one_at_a_time(fam: Sequence[Mask], ops: Iterable[tuple[bool, Mask]]) -> Sequence[Mask]:
+    """The minor by one-element steps, each (contract?, element bit) in the
+    original ground; a step re-indexes its element past the removed ones."""
+    removed = 0
+    for contract, bit in ops:
+        step = 1 << (bit.bit_length() - 1 - (removed & (bit - 1)).bit_count())
+        fam = minor_masks(fam, 0, step) if contract else minor_masks(fam, step, 0)
+        removed |= bit
+    return fam
+
+
 def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
     """Operation-calculus identities: twist group law, dual involution, the
     twist/minor exchange identities, loop-complement involution and the
     odd-interval membership rule, minor order-independence, parity invariance
     under twist, the lower-matroid deletion identity and the intersection
-    lower bound."""
+    lower bound.
+
+    Every identity is checked on canonical families through the kernels the
+    SetSystem methods wrap: a minor shares its ground labels whatever the
+    order of its steps, so equal families mean equal set systems."""
     d, key = item
     n = d.ground.size
     cap = 1 << n
-    # each twist of d, and its dual, is built once
-    twist = lru_cache(maxsize=None)(d.twist)
-    dual = d.dual()
+    full = cap - 1
+    fam = d.family
+    # each twist of d, the dual among them, is computed once
+    twist = lru_cache(maxsize=None)(lambda a: twist_masks(fam, a, n))
+    dual = twist(full)
     v = []
 
     def flag(msg):
@@ -738,48 +773,43 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
             minor_pairs.append((dl, rng.randrange(cap) & ~dl))
 
     for a, b in pairs:
-        if twist(a).twist(b) != twist(a ^ b):
+        if twist_masks(twist(a), b, n) != twist(a ^ b):
             flag("twist group law fails")
             break
-    if dual.dual() != d:
+    if twist_masks(dual, full, n) != fam:
         flag("dual is not an involution")
     for e in range(n):
         bit = 1 << e
         lab = d.ground.labels[e]
-        if d.contract(e) != twist(bit).delete(e):
+        if minor_masks(fam, 0, bit) != minor_masks(twist(bit), bit, 0):
             flag("D/e != (D*e)\\e at %s" % lab)
             break
-        if d.delete(e) != twist(bit).contract(e):
+        if minor_masks(fam, bit, 0) != minor_masks(twist(bit), 0, bit):
             flag("D\\e != (D*e)/e at %s" % lab)
             break
     for x in subsets:
-        if d.minor(delete=x) != dual.minor(contract=x).dual():
+        m = n - x.bit_count()
+        if minor_masks(fam, x, 0) != twist_masks(minor_masks(dual, 0, x), (1 << m) - 1, m):
             flag("deletion-via-dual identity fails")
             break
     for x in subsets:
-        if d.loop_complement(x).loop_complement(x) != d:
+        if loop_complement_masks(loop_complement_masks(fam, x, n), x, n) != fam:
             flag("loop complement is not an involution")
             break
-    # odd-interval membership rule against the iterated definition
+    # the odd-interval membership rule, read without the kernel
     x = subsets[0]
-    expected = set()
-    for y in range(cap):
-        need = y & ~x
-        count = sum(1 for z in d.family if not z & ~y and not need & ~z)
-        if count & 1:
-            expected.add(y)
-    if expected != set(d.loop_complement(x).family):
+    if _odd_interval_family(fam, x) != set(loop_complement_masks(fam, x, n)):
         flag("odd-interval membership rule disagrees")
     for dl, co in minor_pairs:
-        base = d.minor(delete=dl, contract=co)
-        ops_fwd = [("d", lab) for lab in d.ground.labels_of(dl)]
-        ops_fwd += [("c", lab) for lab in d.ground.labels_of(co)]
-        ops_rev = list(reversed(ops_fwd))
-        if _apply_ops(d, ops_fwd) != base or _apply_ops(d, ops_rev) != base:
+        base = minor_masks(fam, dl, co)
+        ops_fwd = [(False, b) for b in iter_bits(dl)] + [(True, b) for b in iter_bits(co)]
+        ops_rev = ops_fwd[::-1]
+        if _one_at_a_time(fam, ops_fwd) != base or _one_at_a_time(fam, ops_rev) != base:
             flag("minor order dependence")
             break
+    parity = parity_masks(fam)
     for a in subsets:
-        if twist(a).parity() != d.parity():
+        if parity_masks(twist(a)) != parity:
             flag("parity not twist-invariant")
             break
     if _deletion_minimum_failures(d):

@@ -6,11 +6,11 @@ import pytest
 
 from dmx import cli, verify
 from dmx.cli import main
-from dmx.core import numbered_ground
+from dmx.core import SetSystem, numbered_ground
 from dmx.formats import dump_dm, dump_rg, parse_rg
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.ribbon import RibbonGraph
-from test_core import _random_symmetric
+from test_core import _loop_complement_reference, _random_symmetric
 
 DM = "ground: 1 2\nfeasible: {}\nfeasible: {1,2}\n"
 BAD_AXIOM = "ground: 1 2 3\nfeasible: {}\nfeasible: {1,2,3}\n"
@@ -145,6 +145,19 @@ def test_op_lc(files):
     code, out, _ = run("op", "lc", "--set", "1", files["d.dm"])
     assert code == 0
     assert out == "ground: 1 2\nfeasible: {}\nfeasible: {1}\nfeasible: {1,2}\n"
+
+
+@pytest.mark.parametrize("spec", [None, "", "3", "2,5", "1,2,3,4,5,6"])
+def test_op_lc_matches_the_set_definition(tmp_path, spec):
+    rng = random.Random("dmx-cli-lc")
+    g = numbered_ground(6)
+    d = delta_matroid_from_symmetric(_random_symmetric(6, rng), g).twist(rng.randrange(64))
+    p = tmp_path / "d.dm"
+    p.write_text(dump_dm(d))
+    a = g.mask(spec.split(",")) if spec else 0
+    want = dump_dm(SetSystem(g, tuple(_loop_complement_reference(d.family, a))))
+    set_args = () if spec is None else ("--set", spec)
+    assert run("op", "lc", *set_args, str(p)) == (0, want, "")
 
 
 def test_op_rejects_invalid_input(files):
@@ -362,6 +375,21 @@ def test_ribbon_without_vertex_is_rejected(tmp_path, argv):
     p.write_text("vertex:\n")
     code, out, err = run("ribbon", *argv, str(p))
     assert code == 0 and out and err == ""
+
+
+def test_check_ribbon_without_vertex_is_invalid(tmp_path):
+    """check reads the ribbon actions' vertex test: a file with no vertex
+    line is reported invalid, with exit 0 as for any parsed file."""
+    p = tmp_path / "none.rg"
+    p.write_text("# no vertex line\n")
+    assert run("check", str(p)) == (
+        0,
+        "kind: ribbon\nvertices: 0\nedges: 0\nvalid: no\nreason: %s\n" % cli.NO_VERTEX_REASON,
+        "",
+    )
+    assert "vertex disc" in cli.NO_VERTEX_REASON
+    p.write_text("vertex:\n")
+    assert run("check", str(p)) == (0, "kind: ribbon\nvertices: 1\nedges: 0\nvalid: yes\n", "")
 
 
 def test_bad_arguments_exit_2():

@@ -16,6 +16,7 @@ from dmx.core import (
     exchange_violation_masks,
     family_sort_key,
     indices_of,
+    loop_complement_masks,
     mask_of,
     numbered_ground,
     validate_delta_matroid,
@@ -266,6 +267,41 @@ def test_loop_complement_can_break_exchange():
     assert exchange_violation_masks(out.family) is not None
     with pytest.raises(SymmetricExchangeError):
         validate_delta_matroid(out)
+
+
+def _loop_complement_reference(family, a):
+    """D + a by its set definition on index sets, highest element of a first:
+    toggle F u {e} for every member F without e."""
+    fam = {frozenset(indices_of(m)) for m in family}
+    for e in reversed(indices_of(a)):
+        fam ^= {f | {e} for f in fam if e not in f}
+    return {mask_of(f) for f in fam}
+
+
+def _assert_loop_complement_matches_reference(g, family, a):
+    got = loop_complement_masks(family, a, g.size)
+    assert set(got) == _loop_complement_reference(family, a)
+    assert list(got) == sorted(set(got), key=family_sort_key)
+    assert SetSystem(g, family).loop_complement(a).family == got
+
+
+def test_loop_complement_kernel_on_every_small_family():
+    for n in range(4):
+        g = numbered_ground(n)
+        for code in range(1, 1 << (1 << n)):
+            fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
+            for a in range(1 << n):
+                _assert_loop_complement_matches_reference(g, fam, a)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_loop_complement_kernel_on_seeded_families(n):
+    rng = random.Random("dmx-loop-complement-%d" % n)
+    g = numbered_ground(n)
+    for _ in range(40):
+        fam = tuple({rng.randrange(1 << n) for _ in range(rng.randint(1, 40))})
+        for a in (rng.randrange(1 << n), rng.randrange(1 << n), g.full_mask):
+            _assert_loop_complement_matches_reference(g, fam, a)
 
 
 def test_delete_contract_conventions():

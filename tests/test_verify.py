@@ -1,10 +1,20 @@
+import functools
+import itertools
 import logging
 import random
 
 import pytest
 
-from dmx import matroid, verify
-from dmx.core import ODD, DeltaMatroid, exchange_violation_masks, layer_codes, numbered_ground
+from dmx import core, matroid, verify
+from dmx.core import (
+    ODD,
+    DeltaMatroid,
+    exchange_violation_masks,
+    layer_codes,
+    loop_complement_masks,
+    minor_masks,
+    numbered_ground,
+)
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.matroid import (
     Matroid,
@@ -149,6 +159,23 @@ def test_random_generator_is_seeded_and_valid():
     assert a != random_delta_matroids(5, 4, 50)
     for d in a:
         assert exchange_violation_masks(d.family) is None
+
+
+def test_random_corpus_logs_its_family_sizes(caplog):
+    """The record keeps its prefix and rejected= field and adds the minimum,
+    mean and maximum number of feasible sets."""
+    with caplog.at_level(logging.INFO, logger="dmx.verify"):
+        six = random_delta_matroids(6, 1, 1000)
+        eight = random_delta_matroids(8, 1, 200)
+    assert [r.getMessage() for r in caplog.records] == [
+        "random delta-matroid corpus: n=6 seed=1 count=1000 rejected=4494 "
+        "family_size_min=1 family_size_mean=2.23 family_size_max=6",
+        "random delta-matroid corpus: n=8 seed=1 count=200 rejected=1312 "
+        "family_size_min=1 family_size_mean=1.72 family_size_max=4",
+    ]
+    # the generator often keeps a single feasible set
+    assert sum(len(d.family) == 1 for d in six) == 238
+    assert sum(len(d.family) == 1 for d in eight) == 92
 
 
 def test_ribbon_corpus_coverage():
@@ -539,6 +566,152 @@ def test_mask_checks_match_object_references_under_upper_mutant(
     got = _violations(getattr(verify, check), items)
     assert got == _violations(reference, items)
     assert len(got) == failing
+
+
+# The object-level operation_calculus, kept as the reference for the mask
+# version in dmx.verify.  Its twists, minors and loop complements are
+# SetSystem methods, which look their kernels up in dmx.core, so a mutant
+# patched into dmx.core and dmx.verify reaches both versions.
+
+
+def _apply_ops_reference(d, ops):
+    cur = d
+    for kind, label in ops:
+        e = cur.ground.index(label)
+        cur = cur.delete(e) if kind == "d" else cur.contract(e)
+    return cur
+
+
+def _operation_calculus_reference(item):
+    d, key = item
+    n = d.ground.size
+    cap = 1 << n
+    twist = functools.lru_cache(maxsize=None)(d.twist)
+    dual = d.dual()
+    v = []
+
+    def flag(msg):
+        v.append("%s :: %s" % (verify.fmt_system(d), msg))
+
+    if key is None:
+        subsets = range(cap)
+        pairs = itertools.product(subsets, repeat=2)
+        minor_pairs = [(dl, co) for dl in range(cap) for co in range(cap) if not dl & co]
+    else:
+        rng = random.Random(key)
+        subsets = [rng.randrange(cap) for _ in range(3)]
+        pairs = [(rng.randrange(cap), rng.randrange(cap)) for _ in range(3)]
+        minor_pairs = []
+        for _ in range(2):
+            dl = rng.randrange(cap)
+            minor_pairs.append((dl, rng.randrange(cap) & ~dl))
+
+    for a, b in pairs:
+        if twist(a).twist(b) != twist(a ^ b):
+            flag("twist group law fails")
+            break
+    if dual.dual() != d:
+        flag("dual is not an involution")
+    for e in range(n):
+        bit = 1 << e
+        lab = d.ground.labels[e]
+        if d.contract(e) != twist(bit).delete(e):
+            flag("D/e != (D*e)\\e at %s" % lab)
+            break
+        if d.delete(e) != twist(bit).contract(e):
+            flag("D\\e != (D*e)/e at %s" % lab)
+            break
+    for x in subsets:
+        if d.minor(delete=x) != dual.minor(contract=x).dual():
+            flag("deletion-via-dual identity fails")
+            break
+    for x in subsets:
+        if d.loop_complement(x).loop_complement(x) != d:
+            flag("loop complement is not an involution")
+            break
+    # odd-interval membership rule against the iterated definition
+    x = subsets[0]
+    expected = set()
+    for y in range(cap):
+        need = y & ~x
+        count = sum(1 for z in d.family if not z & ~y and not need & ~z)
+        if count & 1:
+            expected.add(y)
+    if expected != set(d.loop_complement(x).family):
+        flag("odd-interval membership rule disagrees")
+    for dl, co in minor_pairs:
+        base = d.minor(delete=dl, contract=co)
+        ops_fwd = [("d", lab) for lab in d.ground.labels_of(dl)]
+        ops_fwd += [("c", lab) for lab in d.ground.labels_of(co)]
+        ops_rev = list(reversed(ops_fwd))
+        if _apply_ops_reference(d, ops_fwd) != base or _apply_ops_reference(d, ops_rev) != base:
+            flag("minor order dependence")
+            break
+    for a in subsets:
+        if twist(a).parity() != d.parity():
+            flag("parity not twist-invariant")
+            break
+    if verify._deletion_minimum_failures(d):
+        flag("deletion/minimum identity fails")
+    if verify._lower_bound_failures(d, subsets):
+        flag("intersection lower bound fails")
+    return v
+
+
+@pytest.mark.parametrize("max_n, count", [(3, 1000), (5, 200)], ids=["n6", "n8"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_operation_calculus_matches_object_reference(max_n, count, seed):
+    """Every identity on the exhaustive n <= 3 items and a seeded sample at
+    n = 6 or 8, against the object-level version."""
+    items = verify._operation_calculus_corpus(max_n, seed, count)
+    assert len(items) == 174 + count
+    got = _violations(verify._operation_calculus, items)
+    assert got == _violations(_operation_calculus_reference, items) == []
+
+
+def _numeric_order_minor(family, delete, contract):
+    """Mutant of minor_masks: the right sets in ascending mask value, not in
+    canonical order, as a minor built through a set and sorted would be."""
+    return tuple(sorted(minor_masks(family, delete, contract)))
+
+
+def _one_side_minor(family, delete, contract):
+    """Mutant of minor_masks: decides delete or contract once, for the
+    highest element, and removes every element that way."""
+    rest = delete | contract
+    if contract & (1 << rest.bit_length() >> 1):
+        return minor_masks(family, 0, rest)
+    return minor_masks(family, rest, 0)
+
+
+def _lowest_only_loop_complement(family, a, n):
+    """Mutant of loop_complement_masks: toggles only the lowest element of a."""
+    return loop_complement_masks(family, a & -a, n)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, failing",
+    [
+        ("minor_masks", _numeric_order_minor, (78, 78)),
+        ("minor_masks", _one_side_minor, (154, 119)),
+        ("loop_complement_masks", _lowest_only_loop_complement, (221, 86)),
+    ],
+    ids=["numeric_order_minor", "one_side_minor", "lowest_only_loop_complement"],
+)
+def test_operation_calculus_matches_object_reference_under_mutants(
+    monkeypatch, name, mutant, failing
+):
+    """A broken kernel in both versions: the same counterexamples, and
+    enough of them that the differential above is not vacuous."""
+    monkeypatch.setattr(core, name, mutant)
+    monkeypatch.setattr(verify, name, mutant)
+    counts = []
+    for max_n, count in ((3, 300), (5, 100)):
+        items = verify._operation_calculus_corpus(max_n, 4, count)
+        got = _violations(verify._operation_calculus, items)
+        assert got == _violations(_operation_calculus_reference, items)
+        counts.append(len(got))
+    assert tuple(counts) == failing
 
 
 def test_run_suite_rejects_unknown_name():
