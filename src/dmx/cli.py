@@ -18,6 +18,7 @@ from .core import (
     Mask,
     SetSystem,
     SymmetricExchangeError,
+    certify_delta_matroid,
     validate_delta_matroid,
 )
 from .formats import (
@@ -30,7 +31,13 @@ from .formats import (
     parse_gf2,
     parse_rg,
 )
-from .gf2 import BINARY_MAX_N, Gf2SymmetricMatrix, delta_matroid_from_symmetric, is_binary
+from .gf2 import (
+    BINARY_MAX_N,
+    BinaryCertificate,
+    Gf2SymmetricMatrix,
+    delta_matroid_from_symmetric,
+    is_binary,
+)
 from .matroid import Matroid, MatroidError, classify_delta, lower_matroid
 from .ribbon import RibbonGraph
 
@@ -62,21 +69,37 @@ def _parse_path(parse, path: str):
         raise CliError("%s: %s" % (path, exc)) from None
 
 
-def _validate_delta(path: str, system: SetSystem) -> DeltaMatroid:
+def _certify_delta(
+    path: str, system: SetSystem
+) -> tuple[DeltaMatroid, Optional[BinaryCertificate]]:
     try:
-        return validate_delta_matroid(system)
+        return certify_delta_matroid(system)
     except ValueError as exc:
         raise CliError("%s: %s" % (path, exc)) from None
 
 
 def _load_delta(path: str) -> DeltaMatroid:
-    return _validate_delta(path, _parse_path(parse_dm, path).system)
+    return _certify_delta(path, _parse_path(parse_dm, path).system)[0]
 
 
 def _check_classify_size(path: str, n: int) -> None:
     if n > BINARY_MAX_N:
         raise CliError(
             "%s: classification is limited to ground size %d, got %d" % (path, BINARY_MAX_N, n)
+        )
+
+
+# Loop complementation by A yields at most min(|F|*2^|A|, 2^n) sets, each
+# step toggling up to that many; op lc refuses a larger bound up front.
+LC_MAX_SETS = 1 << 16
+
+
+def _check_lc_size(path: str, d: DeltaMatroid, a: Mask) -> None:
+    bound = min(len(d.family) << a.bit_count(), 1 << len(d.ground.labels))
+    if bound > LC_MAX_SETS:
+        raise CliError(
+            "%s: loop complementation is limited to min(|F|*2^|A|, 2^n) <= %d sets, got %d"
+            % (path, LC_MAX_SETS, bound)
         )
 
 
@@ -160,6 +183,7 @@ def cmd_op(args) -> int:
         if args.operation == "twist":
             result = d.twist(a)
         elif args.operation == "lc":
+            _check_lc_size(args.file, d, a)
             result = d.loop_complement(a)
         elif args.operation == "delete":
             result = d.minor(delete=a)
@@ -171,9 +195,8 @@ def cmd_op(args) -> int:
     return 0
 
 
-def _classify_lines(d: DeltaMatroid) -> list[str]:
+def _classify_lines(d: DeltaMatroid, cert: BinaryCertificate) -> list[str]:
     lines = ["even: %s" % ("yes" if d.parity() == "even" else "no")]
-    cert = is_binary(d)
     if cert.verdict:
         lines.append("binary: yes")
         lines.append("binary-twist: %s" % d.render_set(cert.twist_set))
@@ -208,16 +231,17 @@ def cmd_classify(args) -> int:
     if suffix == ".dm":
         system = _parse_path(parse_dm, path).system
         _check_classify_size(path, system.ground.size)
-        d = _validate_delta(path, system)
+        d, cert = _certify_delta(path, system)
     elif suffix == ".gf2":
         matrix = _parse_path(parse_gf2, path)
         if not isinstance(matrix, Gf2SymmetricMatrix):
             raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
         _check_classify_size(path, matrix.order)
         d = delta_matroid_from_symmetric(matrix)
+        cert = is_binary(d)
     else:
         raise CliError("%s: classification accepts .dm and .gf2 files" % path)
-    for line in _classify_lines(d):
+    for line in _classify_lines(d, cert):
         print(line)
     return 0
 

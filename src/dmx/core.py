@@ -10,7 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .gf2 import BinaryCertificate
 
 Mask = int
 
@@ -478,9 +481,28 @@ def validate_delta_matroid(system: SetSystem) -> DeltaMatroid:
 
     Raises SymmetricExchangeError with the first failing (X, Y, u) triple.
     """
+    return certify_delta_matroid(system)[0]
+
+
+def certify_delta_matroid(
+    system: SetSystem,
+) -> tuple[DeltaMatroid, Optional[BinaryCertificate]]:
+    """validate_delta_matroid, also returning the binarity certificate it
+    computed (None above BINARY_MAX_N elements).
+
+    A family whose certificate holds is a twist of some D(A), and every such
+    twist is a delta-matroid (Bouchet, "Representability of Δ-matroids",
+    1988), so it is not scanned.  Every other family goes through
+    exchange_violation_masks, the one source of witnesses.
+    """
+    # gf2 builds D(A) on this module, so it is looked up at call time
+    from .gf2 import BINARY_MAX_N, is_binary
+
     if not system.family:
         raise ImproperSystemError("a delta-matroid needs a nonempty feasible family")
-    witness = exchange_violation_masks(system.family)
-    if witness is not None:
-        raise SymmetricExchangeError(system, *witness)
-    return DeltaMatroid._from_canonical(system.ground, system.family)
+    cert = is_binary(system) if len(system.ground.labels) <= BINARY_MAX_N else None
+    if cert is None or not cert.verdict:
+        witness = exchange_violation_masks(system.family)
+        if witness is not None:
+            raise SymmetricExchangeError(system, *witness)
+    return DeltaMatroid._from_canonical(system.ground, system.family), cert

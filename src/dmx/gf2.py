@@ -10,6 +10,7 @@ from .core import (
     DeltaMatroid,
     GroundSet,
     Mask,
+    SetSystem,
     code_masks,
     indices_of,
     mask_of,
@@ -209,33 +210,32 @@ class BinaryCertificate:
     failure_witness: Optional[Mask]
 
 
-def _representation_mismatch(
-    normal: DeltaMatroid,
-) -> tuple[Gf2SymmetricMatrix, Optional[Mask]]:
-    n = normal.ground.size
-    cand = forced_matrix(n, normal.members.__contains__)
-    diff = nonsingular_code(cand.rows) ^ mask_of(normal.family)
-    if not diff:
-        return cand, None
-    # the first differing subset in canonical order
-    return cand, code_masks(diff, n)[0]
+def is_binary(d: SetSystem) -> BinaryCertificate:
+    """Decide whether some twist of the nonempty family d is isomorphic to
+    D(A) for symmetric A; when it is, d is a delta-matroid.
 
+    Twisting by the canonical minimum feasible set f0 suffices: if any twist
+    of d is isomorphic to some D(A), then every normal twist of d carries a
+    strong representation (representability transfers between normal
+    twists), and the representing matrix of a normal delta-matroid is forced
+    by its size-<=2 feasible sets.  The tests cross-validate this shortcut
+    against a reference search over all feasible twists and all ground
+    relabelings.
 
-def is_binary(d: DeltaMatroid) -> BinaryCertificate:
-    """Decide whether some twist of d is isomorphic to D(A) for symmetric A.
-
-    Twisting by the canonical minimum feasible set suffices: if any twist of
-    d is isomorphic to some D(A), then every normal twist of d carries a
-    strong representation (representability transfers between normal twists),
-    and the representing matrix of a normal delta-matroid is forced by its
-    size-<=2 feasible sets.  The tests cross-validate this shortcut against
-    a reference search over all feasible twists and all ground relabelings.
+    Everything is read off the family's indicator code: it is twisted by f0
+    one element at a time, A is forced by its bits, and d is binary iff the
+    code of D(A) equals the twisted code.
     """
-    if d.ground.size > BINARY_MAX_N:
+    n = d.ground.size
+    if n > BINARY_MAX_N:
         raise ValueError("binarity test is limited to ground size %d" % BINARY_MAX_N)
     f0 = d.family[0]
-    normal = d.twist(f0)
-    cand, bad = _representation_mismatch(normal)
-    if bad is None:
+    code = mask_of(d.family)
+    for e in indices_of(f0):
+        code = twist_code(code, e, n)
+    cand = forced_matrix(n, lambda x: code >> x & 1)
+    diff = nonsingular_code(cand.rows) ^ code
+    if not diff:
         return BinaryCertificate(True, f0, cand, None)
-    return BinaryCertificate(False, f0, None, bad)
+    # the first differing subset in canonical order
+    return BinaryCertificate(False, f0, None, code_masks(diff, n)[0])

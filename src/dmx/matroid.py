@@ -20,11 +20,12 @@ from .core import (
     ImproperSystemError,
     Mask,
     SetSystem,
+    SymmetricExchangeError,
     canonical_masks,
     code_masks,
-    exchange_violation_masks,
     layer_codes,
     mask_of,
+    validate_delta_matroid,
 )
 
 # Distinct matroids kept by the classification cache; a verify run at
@@ -69,13 +70,14 @@ class Matroid(DeltaMatroid):
                     "bases %s and %s differ in cardinality"
                     % (system.render_set(first), system.render_set(m))
                 )
-        witness = exchange_violation_masks(system.family)
-        if witness is not None:
-            x, y, u = witness
+        try:
+            validate_delta_matroid(system)
+        except SymmetricExchangeError as exc:
+            x, y, u = exc.witness
             raise MatroidError(
                 "base exchange fails at B1=%s, B2=%s, u=%s"
                 % (system.render_set(x), system.render_set(y), system.ground.labels[u])
-            )
+            ) from None
         return cls._from_canonical(system.ground, system.family)
 
     # -- independence ----------------------------------------------------------

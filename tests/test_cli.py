@@ -4,11 +4,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from dmx import cli, verify
+from dmx import cli, core, verify
 from dmx.cli import main
 from dmx.core import SetSystem, numbered_ground
 from dmx.formats import dump_dm, dump_rg, parse_rg
-from dmx.gf2 import delta_matroid_from_symmetric
+from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
 from dmx.ribbon import RibbonGraph
 from test_core import _loop_complement_reference, _random_symmetric
 
@@ -160,6 +160,43 @@ def test_op_lc_matches_the_set_definition(tmp_path, spec):
     assert run("op", "lc", *set_args, str(p)) == (0, want, "")
 
 
+def _empty_family_file(tmp_path, n, sets=("{}",)):
+    p = tmp_path / "lc.dm"
+    lines = ["ground: " + " ".join(str(i) for i in range(1, n + 1))]
+    p.write_text("\n".join(lines + ["feasible: " + x for x in sets]) + "\n")
+    return str(p)
+
+
+# (ground size, feasible sets, |A|): min(|F|*2^|A|, 2^n) is exactly 2^16,
+# once through each side of the minimum
+@pytest.mark.parametrize("n, sets, k", [(17, ("{}",), 16), (16, ("{}", "{16}"), 16)])
+def test_op_lc_at_the_size_bound(tmp_path, n, sets, k):
+    path = _empty_family_file(tmp_path, n, sets)
+    code, out, err = run("op", "lc", "--set", ",".join(str(i) for i in range(1, k + 1)), path)
+    assert (code, err) == (0, "")
+    assert 1 < out.count("\n") <= 1 + (1 << 16)
+
+
+@pytest.mark.parametrize(
+    "n, sets, k, bound",
+    [(17, ("{}",), 17, 1 << 17), (17, ("{}", "{17}"), 16, 1 << 17), (30, ("{}",), 30, 1 << 30)],
+)
+def test_op_lc_beyond_the_size_bound_is_refused_before_toggling(
+    tmp_path, monkeypatch, n, sets, k, bound
+):
+    def toggle(family, a, n):
+        raise AssertionError("loop complementation started")
+
+    monkeypatch.setattr(core, "loop_complement_masks", toggle)
+    path = _empty_family_file(tmp_path, n, sets)
+    code, out, err = run("op", "lc", "--set", ",".join(str(i) for i in range(1, k + 1)), path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: %s: loop complementation is limited to min(|F|*2^|A|, 2^n) <= 65536 sets, "
+        "got %d\n" % (path, bound)
+    )
+
+
 def test_op_rejects_invalid_input(files):
     code, _, err = run("op", "dual", files["bad.dm"])
     assert code == 2 and "symmetric exchange" in err
@@ -191,6 +228,90 @@ def test_classify_dm(files):
     assert "odd-circuit: {1}" in lines
     assert "eulerian: yes" in lines
     assert "eulerian-partition: {1} {2}" in lines
+
+
+def _path_d_of_a(n, twist):
+    """D(A) of the path on n vertices with a zero diagonal, twisted."""
+    rows = [0] * n
+    for i in range(n - 1):
+        rows[i] |= 1 << (i + 1)
+        rows[i + 1] |= 1 << i
+    return dump_dm(delta_matroid_from_symmetric(Gf2SymmetricMatrix(tuple(rows))).twist(twist))
+
+
+# name -> (file, check stdout, classify exit code, classify stdout, classify
+# stderr with the path as {}); both verbs exit 0 on check and print nothing
+# on stderr.  Binary files are proved valid by their D(A) certificate, the
+# others are scanned, and every witness comes from the scan.
+GOLDEN = {
+    "binary-matroid.dm": (
+        "kind: matroid\nground: a b c d\nfeasible: {a,b}\nfeasible: {a,c}\nfeasible: {b,c}\n"
+        "feasible: {b,d}\nfeasible: {c,d}\n",
+        "kind: matroid\nground: a b c d\nfeasible-sets: 5\nvalid: yes\n",
+        0,
+        "even: yes\nbinary: yes\nbinary-twist: {a,b}\nbinary-matrix: 0011|0010|1100|1000\n"
+        "bipartite: no\nodd-circuit: {a,b,c}\neulerian: no\n",
+        "",
+    ),
+    "binary-plus-one.dm": (
+        "ground: a b c d\nfeasible: {}\nfeasible: {a,b}\nfeasible: {b,c}\nfeasible: {c,d}\n"
+        "feasible: {a,b,c,d}\nfeasible: {a,b,d}\n",
+        "kind: delta-matroid\nground: a b c d\nfeasible-sets: 6\nvalid: no\n"
+        "reason: symmetric exchange fails at X={}, Y={a,b,d}, u=d\n",
+        2,
+        "",
+        "error: {}: symmetric exchange fails at X={}, Y={a,b,d}, u=d\n",
+    ),
+    "binary-13.dm": (
+        _path_d_of_a(13, 0b1010010100101),
+        "kind: delta-matroid\nground: 1 2 3 4 5 6 7 8 9 10 11 12 13\nfeasible-sets: 377\n"
+        "valid: yes\n",
+        2,
+        "",
+        "error: {}: classification is limited to ground size 12, got 13\n",
+    ),
+    "empty-ground.dm": (
+        "ground:\nfeasible: {}\n",
+        "kind: delta-matroid\nground: \nfeasible-sets: 1\nvalid: yes\n",
+        0,
+        "even: yes\nbinary: yes\nbinary-twist: {}\nbinary-matrix: \nbipartite: yes\n"
+        "eulerian: yes\neulerian-partition: -\n",
+        "",
+    ),
+    "no-feasible.dm": (
+        "ground: a b\n",
+        "kind: delta-matroid\nground: a b\nfeasible-sets: 0\nvalid: no\n"
+        "reason: a delta-matroid needs a nonempty feasible family\n",
+        2,
+        "",
+        "error: {}: a delta-matroid needs a nonempty feasible family\n",
+    ),
+    "u24.dm": (
+        "kind: matroid\nground: a b c d\nfeasible: {a,b}\nfeasible: {a,c}\nfeasible: {a,d}\n"
+        "feasible: {b,c}\nfeasible: {b,d}\nfeasible: {c,d}\n",
+        "kind: matroid\nground: a b c d\nfeasible-sets: 6\nvalid: yes\n",
+        0,
+        "even: yes\nbinary: no\nbipartite: no\nodd-circuit: {a,b,c}\neulerian: no\n",
+        "",
+    ),
+    "bad-matroid.dm": (
+        "kind: matroid\nground: a b c d\nfeasible: {a,b}\nfeasible: {c,d}\n",
+        "kind: matroid\nground: a b c d\nfeasible-sets: 2\nvalid: no\n"
+        "reason: base exchange fails at B1={a,b}, B2={c,d}, u=a\n",
+        2,
+        "",
+        "error: {}: symmetric exchange fails at X={a,b}, Y={c,d}, u=a\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_check_and_classify_goldens(tmp_path, name):
+    text, check_out, code, classify_out, classify_err = GOLDEN[name]
+    p = tmp_path / name
+    p.write_text(text)
+    assert run("check", str(p)) == (0, check_out, "")
+    assert run("classify", str(p)) == (code, classify_out, classify_err.replace("{}", str(p), 1))
 
 
 def test_classify_gf2(files):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dmx import verify
+from dmx import core, gf2, verify
 from dmx.core import (
     RANK_TABLE_MAX_N,
     DeltaMatroid,
@@ -16,12 +16,19 @@ from dmx.core import (
     exchange_violation_masks,
     family_sort_key,
     indices_of,
+    layer_codes,
     loop_complement_masks,
     mask_of,
     numbered_ground,
     validate_delta_matroid,
 )
-from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
+from dmx.gf2 import (
+    BinaryCertificate,
+    Gf2SymmetricMatrix,
+    delta_matroid_from_symmetric,
+    forced_matrix,
+    nonsingular_code,
+)
 from dmx.matroid import Matroid, lower_matroid
 
 
@@ -206,6 +213,132 @@ def test_random_corpus_unchanged_under_reference_check(monkeypatch, caplog, n, c
     logs = [r.getMessage() for r in caplog.records if "random delta-matroid" in r.getMessage()]
     assert len(logs) == 2 and logs[0] == logs[1]
     assert "rejected=0" not in logs[0]
+
+
+def _outcome(build, system):
+    """(exception class name, message) of a failed build, or None."""
+    try:
+        build(system)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _validation_mismatches(systems, scan):
+    """The nonempty systems on which validate_delta_matroid, or
+    Matroid.from_bases on an equicardinal family, disagrees with the scan
+    alone: in the verdict or in the text of the error."""
+    bad = []
+    for s in systems:
+        witness = scan(s.family)
+        delta = matroid = None
+        if witness is not None:
+            x, y, u = witness
+            delta = ("SymmetricExchangeError", str(SymmetricExchangeError(s, *witness)))
+            matroid = (
+                "MatroidError",
+                "base exchange fails at B1=%s, B2=%s, u=%s"
+                % (s.render_set(x), s.render_set(y), s.ground.labels[u]),
+            )
+        sizes = {m.bit_count() for m in s.family}
+        if _outcome(validate_delta_matroid, s) != delta or (
+            len(sizes) == 1 and _outcome(Matroid.from_bases, s) != matroid
+        ):
+            bad.append(s)
+    return bad
+
+
+def _every_small_nonempty_system():
+    return [
+        SetSystem(numbered_ground(n), tuple(m for m in range(1 << n) if code >> m & 1))
+        for n in range(4)
+        for code in range(1, 1 << (1 << n))
+    ]
+
+
+def _extension_survivors():
+    """The 6,239 candidates that delta_matroids_exact(4) hands to the
+    exchange scan, recorded by running it uncached with a recording scan."""
+    verify.delta_matroids_exact(3)  # cached, so only n = 4 is recorded
+    seen = []
+
+    def record(fam):
+        seen.append(fam)
+        return exchange_violation_masks(fam)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "exchange_violation_masks", record)
+        kept = verify.delta_matroids_exact.__wrapped__(4)
+    # the survivors the scan accepts are DM(4)
+    assert [d.family for d in kept] == [d.family for d in verify.delta_matroids_exact(4)]
+    return [SetSystem(numbered_ground(4), fam) for fam in seen]
+
+
+def _seeded_binary_twists():
+    """D(A)*X for n = 5..12, each also with one set toggled."""
+    rng = random.Random("dmx-certificate-first")
+    twists, toggled = [], []
+    for n in range(5, 13):
+        g = numbered_ground(n)
+        for _ in range(4):
+            d = delta_matroid_from_symmetric(_random_symmetric(n, rng), g)
+            d = d.twist(rng.randrange(1 << n))
+            twists.append(SetSystem(g, d.family))
+            m = rng.randrange(1 << n)
+            fam = tuple(f for f in d.family if f != m)
+            toggled.append(SetSystem(g, fam if m in d.members else fam + (m,)))
+    return twists, toggled
+
+
+def _size_two_certificate(d):
+    """A broken certificate: D(A) compared with the normal twist only on the
+    sets of size <= 2, where the forced A always agrees."""
+    n = d.ground.size
+    f0 = d.family[0]
+    code = mask_of(m ^ f0 for m in d.family)
+    cand = forced_matrix(n, lambda x: code >> x & 1)
+    small = sum(layer_codes(n)[:3])
+    if (nonsingular_code(cand.rows) ^ code) & small:
+        return BinaryCertificate(False, f0, None, 0)
+    return BinaryCertificate(True, f0, cand, None)
+
+
+def test_certificate_first_validation_matches_reference_on_small_families():
+    systems = _every_small_nonempty_system()
+    assert _validation_mismatches(systems, _exchange_reference) == []
+
+
+def test_certificate_first_validation_matches_scan_on_exhaustive_corpora():
+    survivors = _extension_survivors()
+    invalid = [s for s in survivors if exchange_violation_masks(s.family) is not None]
+    assert (len(survivors), len(invalid)) == (6239, 280)
+    binary = [SetSystem(d.ground, d.family) for d in verify.binary_delta_corpus_up_to(4)]
+    assert _validation_mismatches(survivors + binary, exchange_violation_masks) == []
+
+
+def test_certificate_first_validation_matches_scan_on_seeded_twists(monkeypatch):
+    twists, toggled = _seeded_binary_twists()
+    assert _validation_mismatches(twists + toggled, exchange_violation_masks) == []
+    broken = [s for s in toggled if exchange_violation_masks(s.family) is not None]
+    assert len(broken) == len(toggled) == 32
+    # a binary family is proved valid by its certificate alone
+    calls = []
+    monkeypatch.setattr(core, "exchange_violation_masks", lambda fam: calls.append(fam))
+    for s in twists:
+        assert validate_delta_matroid(s).family == s.family
+    assert calls == []
+
+
+def test_certificate_first_validation_catches_a_size_two_certificate(monkeypatch):
+    monkeypatch.setattr(gf2, "is_binary", _size_two_certificate)
+    small = _every_small_nonempty_system()
+    # it accepts every family, so each of the 100 invalid ones is caught
+    assert len(_validation_mismatches(small, _exchange_reference)) == 100
+    survivors = _extension_survivors()
+    assert len(_validation_mismatches(survivors, exchange_violation_masks)) == 280
+    _, toggled = _seeded_binary_twists()
+    broken = [s for s in toggled if exchange_violation_masks(s.family) is not None]
+    assert _validation_mismatches(toggled, exchange_violation_masks) == broken
 
 
 def test_empty_family_rejected():

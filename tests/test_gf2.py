@@ -17,7 +17,6 @@ from dmx.gf2 import (
     BinaryCertificate,
     Gf2Matrix,
     Gf2SymmetricMatrix,
-    _representation_mismatch,
     column_matroid,
     delta_matroid_from_symmetric,
     forced_matrix,
@@ -92,12 +91,13 @@ def _exhaustive_search(d: DeltaMatroid) -> Optional[BinaryCertificate]:
             permuted = DeltaMatroid(
                 normal.ground, tuple(apply_permutation(m, perm) for m in normal.family)
             )
-            cand, bad = _representation_mismatch(permuted)
-            if bad is None:
+            # the normal twist holds the empty set, so is_binary twists by {}
+            cert = is_binary(permuted)
+            if cert.verdict:
                 # pull the matrix back through the permutation so that
                 # D(matrix) equals the unpermuted normal twist
                 rows = tuple(
-                    sum(cand.entry(perm[i], perm[j]) << j for j in range(n))
+                    sum(cert.matrix.entry(perm[i], perm[j]) << j for j in range(n))
                     for i in range(n)
                 )
                 return BinaryCertificate(True, f, Gf2SymmetricMatrix(rows), None)
