@@ -17,12 +17,10 @@ from .core import (
     DeltaMatroid,
     Mask,
     SetSystem,
-    SymmetricExchangeError,
     certify_delta_matroid,
     validate_delta_matroid,
 )
 from .formats import (
-    DELTA_KIND,
     MATROID_KIND,
     ParseError,
     dump_dm,
@@ -36,9 +34,8 @@ from .gf2 import (
     BinaryCertificate,
     Gf2SymmetricMatrix,
     delta_matroid_from_symmetric,
-    is_binary,
 )
-from .matroid import Matroid, MatroidError, classify_delta, lower_matroid
+from .matroid import Matroid, classify_delta
 from .ribbon import RibbonGraph
 
 
@@ -237,8 +234,9 @@ def cmd_classify(args) -> int:
         if not isinstance(matrix, Gf2SymmetricMatrix):
             raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
         _check_classify_size(path, matrix.order)
+        # D(A) holds the empty set, so A is its own certificate
         d = delta_matroid_from_symmetric(matrix)
-        cert = is_binary(d)
+        cert = BinaryCertificate(True, 0, matrix, None)
     else:
         raise CliError("%s: classification accepts .dm and .gf2 files" % path)
     for line in _classify_lines(d, cert):

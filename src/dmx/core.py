@@ -201,14 +201,6 @@ def minor_masks(family: Sequence[Mask], delete: Mask, contract: Mask) -> tuple[M
     return tuple(fam)
 
 
-def apply_permutation(mask: Mask, perm: Sequence[int]) -> Mask:
-    """Relabel a mask: bit i of the input becomes bit perm[i] of the output."""
-    out = 0
-    for i in indices_of(mask):
-        out |= 1 << perm[i]
-    return out
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """An ordered ground set; element i carries labels[i]."""
@@ -393,23 +385,6 @@ class SetSystem:
 
     def restrict(self, a: Mask) -> "SetSystem":
         return self.minor(delete=self.ground.full_mask & ~a)
-
-    # -- direct sum ------------------------------------------------------------
-
-    def direct_sum(self, other: "SetSystem") -> "SetSystem":
-        clash = set(self.ground.labels) & set(other.ground.labels)
-        if clash:
-            raise ValueError("ground label clash: %s" % sorted(clash))
-        ground = GroundSet(self.ground.labels + other.ground.labels)
-        shift = self.ground.size
-        fam = tuple(a | (b << shift) for a in self.family for b in other.family)
-        if type(self) is type(other):
-            cls = type(self)
-        elif isinstance(self, DeltaMatroid) and isinstance(other, DeltaMatroid):
-            cls = DeltaMatroid
-        else:
-            cls = SetSystem
-        return cls(ground, fam)
 
 
 def exchange_violation_masks(family: Sequence[Mask]) -> Optional[tuple[Mask, Mask, int]]:

@@ -206,6 +206,12 @@ def lower_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
     return family[: bisect_right(family, family[0].bit_count(), key=int.bit_count)]
 
 
+def upper_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """The maximum-cardinality suffix of a nonempty canonical family: the
+    bases of its upper matroid."""
+    return family[bisect_left(family, family[-1].bit_count(), key=int.bit_count) :]
+
+
 def lower_code(code: int, n: int) -> int:
     """The bases of the lower matroid of a nonempty family on n elements, as
     a code: the first nonzero layer of the family's code."""
@@ -233,10 +239,7 @@ def lower_matroid(d: DeltaMatroid) -> Matroid:
 
 def upper_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the maximum-cardinality feasible sets."""
-    fam = d.family
-    return Matroid._from_canonical(
-        d.ground, fam[bisect_left(fam, fam[-1].bit_count(), key=int.bit_count) :]
-    )
+    return Matroid._from_canonical(d.ground, upper_bases(d.family))
 
 
 def classify_delta(d: DeltaMatroid) -> ClassificationReport:

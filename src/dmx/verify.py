@@ -26,12 +26,10 @@ from .core import (
     GroundSet,
     Mask,
     SetSystem,
-    apply_permutation,
     bit_clear_codes,
     canonical_masks,
     code_masks,
     exchange_violation_masks,
-    indices_of,
     iter_bits,
     loop_complement_masks,
     mask_of,
@@ -57,7 +55,7 @@ from .matroid import (
     lower_bases,
     lower_code,
     lower_matroid,
-    upper_matroid,
+    upper_bases,
 )
 from .ribbon import RibbonEdge, RibbonGraph
 
@@ -324,8 +322,9 @@ def binary_delta_corpus_up_to(n: int) -> tuple[DeltaMatroid, ...]:
 def _rref_matrices(n: int) -> list[Gf2Matrix]:
     """One matrix per row space of GF(2)^n, via reduced row echelon forms.
 
-    The column matroid depends only on the row space, so this covers every
-    binary matroid on n labelled elements.
+    The column matroid depends only on the row space, and a binary matroid
+    is uniquely representable over GF(2), so it determines its row space:
+    this yields every binary matroid on n labelled elements exactly once.
     """
     out = []
     for r in range(n + 1):
@@ -350,13 +349,7 @@ def binary_matroids_exact(n: int) -> tuple[Matroid, ...]:
     if not 0 <= n <= 6:
         raise ValueError("binary matroid generation is limited to 0 <= n <= 6")
     g = numbered_ground(n)
-    seen: set[tuple[Mask, ...]] = set()
-    out = []
-    for mat in _rref_matrices(n):
-        m = column_matroid(mat, g)
-        if m.family not in seen:
-            seen.add(m.family)
-            out.append(m)
+    out = [column_matroid(mat, g) for mat in _rref_matrices(n)]
     out.sort(key=lambda m: (len(m.family), m.family))
     return tuple(out)
 
@@ -568,19 +561,21 @@ def _welsh_duality(m: Matroid) -> list[str]:
 
 def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
     """Lower and upper matroids of a twisted matroid decompose as direct sums
-    of minors of the matroid and its dual."""
+    of minors of the matroid and its dual: lower(M*A) = (M/A) + (M|A)* and
+    upper(M*A) = (M\\A) + (M/A^c)*.  Let S be the bases B meeting A most.
+    The bases of M/A are B - A and those of M|A are B & A for B in S, so the
+    lower sum has the bases (B1 - A) | (A - B2) for B1, B2 in S, in M's own
+    bit positions; the upper sum is read the same way off the bases meeting
+    A least."""
     m, a = pair
-    ac = m.ground.full_mask ^ a
-    d = m.twist(a)
-    # the sums list A^c first, then A: bit j of a sum is element order[j] of m
-    order = indices_of(ac) + indices_of(a)
+    twisted = twist_masks(m.family, a, m.ground.size)
+    meets = [(b & a).bit_count() for b in m.family]
     v = []
-    low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
-    if {apply_permutation(b, order) for b in low.family} != lower_matroid(d).members:
-        v.append("%s * %s :: lower decomposition fails" % (fmt_system(m), m.render_set(a)))
-    high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
-    if {apply_permutation(b, order) for b in high.family} != upper_matroid(d).members:
-        v.append("%s * %s :: upper decomposition fails" % (fmt_system(m), m.render_set(a)))
+    for side, bases, extreme in (("lower", lower_bases, max), ("upper", upper_bases, min)):
+        top = extreme(meets)
+        s = [b for b, k in zip(m.family, meets) if k == top]
+        if {b1 & ~a | a & ~b2 for b1 in s for b2 in s} != set(bases(twisted)):
+            v.append("%s * %s :: %s decomposition fails" % (fmt_system(m), m.render_set(a), side))
     return v
 
 

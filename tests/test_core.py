@@ -607,17 +607,5 @@ def test_restrict():
     assert r.family == (0b00, 0b11)
 
 
-def test_direct_sum():
-    a = dm("12", ["1", "2"])
-    b = dm("ab", [(), "ab"])
-    s = a.direct_sum(b)
-    assert s.ground.labels == ("1", "2", "a", "b")
-    # a's sets on bits 0-1, b's sets shifted onto bits 2-3
-    assert s.family == (0b0001, 0b0010, 0b1101, 0b1110)
-    assert isinstance(s, DeltaMatroid)
-    with pytest.raises(ValueError):
-        a.direct_sum(dm("13", ["1"]))
-
-
 def test_mask_of_roundtrip():
     assert mask_of([0, 2]) == 0b101

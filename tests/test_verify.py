@@ -9,6 +9,8 @@ from dmx import core, matroid, verify
 from dmx.core import (
     ODD,
     DeltaMatroid,
+    GroundSet,
+    SetSystem,
     exchange_violation_masks,
     layer_codes,
     loop_complement_masks,
@@ -144,6 +146,16 @@ def test_binary_matroid_corpus():
         if len(cards) == 1 and exchange_violation_masks(fam) is None:
             brute.add(fam)
     assert set(fams) == brute
+
+
+def test_binary_matroids_one_per_row_space():
+    """A binary matroid is uniquely representable over GF(2), so each reduced
+    row echelon form gives a distinct family and the generator needs no
+    deduplication."""
+    for n, count in enumerate((1, 2, 5, 16, 67, 374, 2825)):
+        assert len(verify._rref_matrices(n)) == count
+        fams = {m.family for m in binary_matroids_exact(n)}
+        assert len(fams) == len(binary_matroids_exact(n)) == count
 
 
 def test_matroid_twist_pairs_shape():
@@ -313,31 +325,13 @@ def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
         assert a.counterexamples == b.counterexamples
 
 
-# The label-set versions of three checks, kept as references for the mask
-# versions in dmx.verify.  They look lower_matroid, upper_matroid and
-# fmt_system up on the module, so a mutant patched in there reaches both.
+# The label-set versions of two checks, kept as references for the mask
+# versions in dmx.verify.  They look lower_matroid and fmt_system up on the
+# module, so a mutant patched in there reaches both.
 
 
 def _labeled_family(s):
     return frozenset(frozenset(s.ground.labels_of(m)) for m in s.family)
-
-
-def _same_up_to_ground_order(a, b):
-    return set(a.ground.labels) == set(b.ground.labels) and _labeled_family(a) == _labeled_family(b)
-
-
-def _twist_decomposition_reference(pair):
-    m, a = pair
-    ac = m.ground.full_mask ^ a
-    d = m.twist(a)
-    v = []
-    low = m.minor(contract=a).direct_sum(m.minor(delete=ac).dual())
-    if not _same_up_to_ground_order(verify.lower_matroid(d), low):
-        v.append("%s * %s :: lower decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
-    high = m.minor(delete=a).direct_sum(m.minor(contract=ac).dual())
-    if not _same_up_to_ground_order(verify.upper_matroid(d), high):
-        v.append("%s * %s :: upper decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
-    return v
 
 
 def _qualifying_circuit_reference(d):
@@ -384,9 +378,6 @@ def _violations(test, corpus):
 
 
 def test_mask_checks_match_label_references():
-    pairs = matroid_twist_pairs(4)
-    assert _violations(verify._twist_decomposition, pairs) == []
-    assert _violations(_twist_decomposition_reference, pairs) == []
     deltas = binary_delta_corpus_up_to(4) + delta_matroids_up_to(4)
     assert len(deltas) == 2449 + 6133
     got = [verify._qualifying_circuit(d) for d in deltas]
@@ -405,14 +396,12 @@ def _dual_of_contraction(self, e):
 @pytest.mark.parametrize(
     "target, name, mutant, check, reference, corpus, failing",
     [
-        (verify, "upper_matroid", lower_matroid, "_twist_decomposition",
-         _twist_decomposition_reference, lambda: matroid_twist_pairs(4), 570),
         (verify, "lower_matroid", upper_matroid, "_odd_circuit",
          _odd_circuit_reference, lambda: binary_delta_corpus_up_to(4), 2140),
         (Matroid, "contract", _dual_of_contraction, "_circuit_contraction",
          _circuit_contraction_reference, lambda: binary_matroids_up_to(5), 3311),
     ],
-    ids=["twist_decomposition", "odd_circuit", "circuit_contraction"],
+    ids=["odd_circuit", "circuit_contraction"],
 )
 def test_mask_checks_match_label_references_under_mutants(
     monkeypatch, target, name, mutant, check, reference, corpus, failing
@@ -499,6 +488,34 @@ def _bipartite_dual_eulerian_reference(pair):
     return []
 
 
+def _direct_sum(a, b):
+    """The direct sum of two set systems on disjoint labels: a's elements
+    first, then b's."""
+    shift = a.ground.size
+    return SetSystem(
+        GroundSet(a.ground.labels + b.ground.labels),
+        tuple(x | y << shift for x in a.family for y in b.family),
+    )
+
+
+def _same_up_to_ground_order(a, b):
+    return set(a.ground.labels) == set(b.ground.labels) and _labeled_family(a) == _labeled_family(b)
+
+
+def _twist_decomposition_reference(pair):
+    m, a = pair
+    ac = m.ground.full_mask ^ a
+    d = m.twist(a)
+    v = []
+    low = _direct_sum(m.minor(contract=a), m.minor(delete=ac).dual())
+    if not _same_up_to_ground_order(lower_matroid(d), low):
+        v.append("%s * %s :: lower decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+    high = _direct_sum(m.minor(delete=a), m.minor(contract=ac).dual())
+    if not _same_up_to_ground_order(upper_matroid(d), high):
+        v.append("%s * %s :: upper decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+    return v
+
+
 @pytest.mark.parametrize("mutant", [False, True], ids=["lower", "upper_mutant"])
 @pytest.mark.parametrize("n, count", [(5, 200), (6, 150), (8, 60)])
 def test_operation_calculus_helpers_match_object_references(monkeypatch, n, count, mutant):
@@ -539,6 +556,8 @@ _OBJECT_CASES = [
      lambda: matroid_twist_pairs(5), 2000, 1099),
     ("_bipartite_dual_eulerian", _bipartite_dual_eulerian_reference,
      lambda: matroid_twist_pairs(5), 2000, 561),
+    ("_twist_decomposition", _twist_decomposition_reference,
+     lambda: matroid_twist_pairs(5), 2000, 1327),
 ]
 OBJECT_REFERENCES = pytest.mark.parametrize(
     "check, reference, corpus, sample, failing",
@@ -551,6 +570,17 @@ OBJECT_REFERENCES = pytest.mark.parametrize(
 def test_mask_checks_match_object_references(check, reference, corpus, sample, failing):
     items = corpus()
     assert _violations(getattr(verify, check), items) == _violations(reference, items) == []
+
+
+def test_twist_decomposition_matches_object_reference_on_six_elements():
+    """A seeded sample of the 2,825 * 2^6 twist pairs of binary matroids on
+    6 elements, beyond the corpus the suite checks."""
+    ms = binary_matroids_exact(6)
+    assert len(ms) == 2825
+    picks = sorted(random.Random(6).sample(range(len(ms) << 6), 2000))
+    pairs = [(ms[i >> 6], i & 63) for i in picks]
+    got = _violations(verify._twist_decomposition, pairs)
+    assert got == _violations(_twist_decomposition_reference, pairs) == []
 
 
 @OBJECT_REFERENCES
