@@ -22,7 +22,6 @@ from .core import (
 )
 from .formats import (
     MATROID_KIND,
-    ParseError,
     dump_dm,
     dump_rg,
     parse_dm,
@@ -36,7 +35,6 @@ from .gf2 import (
     delta_matroid_from_symmetric,
 )
 from .matroid import Matroid, classify_delta
-from .ribbon import RibbonGraph
 
 
 class CliError(Exception):
@@ -51,32 +49,21 @@ def _default_seed() -> int:
         raise CliError("DMX_SEED must be an integer, got %r" % raw) from None
 
 
-def _read_file(path: str) -> str:
+def _on_file(path: str, fn, *args):
+    """fn(*args), with a failure reported as an error naming the file: an
+    OSError, or a ValueError (a file that is not UTF-8, a ParseError or a
+    failed validation)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return fn(*args)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
-
-
-def _parse_path(parse, path: str):
-    """Read and parse a file, reporting parse diagnostics with the file path."""
-    try:
-        return parse(_read_file(path))
-    except ParseError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
-
-
-def _certify_delta(
-    path: str, system: SetSystem
-) -> tuple[DeltaMatroid, Optional[BinaryCertificate]]:
-    try:
-        return certify_delta_matroid(system)
     except ValueError as exc:
         raise CliError("%s: %s" % (path, exc)) from None
 
 
-def _load_delta(path: str) -> DeltaMatroid:
-    return _certify_delta(path, _parse_path(parse_dm, path).system)[0]
+def _read(path: str, parse):
+    """Read a UTF-8 file and parse it."""
+    return _on_file(path, lambda: parse(Path(path).read_text(encoding="utf-8")))
 
 
 def _check_classify_size(path: str, n: int) -> None:
@@ -100,14 +87,10 @@ def _check_lc_size(path: str, d: DeltaMatroid, a: Mask) -> None:
         )
 
 
+# With no vertex disc the quasi-tree family is empty, so a parsed .rg file
+# without one is no ribbon graph: check reports it invalid and every ribbon
+# action refuses it.
 NO_VERTEX_REASON = "no vertex disc (no vertex: line), so no spanning subgraph has a boundary"
-
-
-def _has_vertex(graph: RibbonGraph) -> bool:
-    """Whether a parsed .rg file is a ribbon graph.  With no vertex disc no
-    spanning subgraph has a boundary, so the quasi-tree family is empty and
-    no ribbon action has a graph to use; check reports it invalid."""
-    return bool(graph.vertices)
 
 
 def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
@@ -130,7 +113,7 @@ def cmd_check(args) -> int:
     path = args.file
     suffix = Path(path).suffix
     if suffix == ".dm":
-        dm = _parse_path(parse_dm, path)
+        dm = _read(path, parse_dm)
         print("kind: %s" % dm.kind)
         print("ground: %s" % " ".join(dm.system.ground.labels))
         print("feasible-sets: %d" % len(dm.system.family))
@@ -146,7 +129,7 @@ def cmd_check(args) -> int:
             print("valid: yes")
         return 0
     if suffix == ".gf2":
-        matrix = _parse_path(parse_gf2, path)
+        matrix = _read(path, parse_gf2)
         if isinstance(matrix, Gf2SymmetricMatrix):
             print("kind: gf2sym")
             print("order: %d" % matrix.order)
@@ -156,11 +139,11 @@ def cmd_check(args) -> int:
         print("valid: yes")
         return 0
     if suffix == ".rg":
-        graph = _parse_path(parse_rg, path)
+        graph = _read(path, parse_rg)
         print("kind: ribbon")
         print("vertices: %d" % len(graph.vertices))
         print("edges: %d" % len(graph.edges))
-        if _has_vertex(graph):
+        if graph.vertices:
             print("valid: yes")
         else:
             print("valid: no")
@@ -170,7 +153,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_op(args) -> int:
-    d = _load_delta(args.file)
+    d = _on_file(args.file, certify_delta_matroid, _read(args.file, parse_dm).system)[0]
     if args.operation == "dual":
         if args.set is not None:
             raise CliError("dual takes no --set argument")
@@ -226,11 +209,11 @@ def cmd_classify(args) -> int:
     path = args.file
     suffix = Path(path).suffix
     if suffix == ".dm":
-        system = _parse_path(parse_dm, path).system
+        system = _read(path, parse_dm).system
         _check_classify_size(path, system.ground.size)
-        d, cert = _certify_delta(path, system)
+        d, cert = _on_file(path, certify_delta_matroid, system)
     elif suffix == ".gf2":
-        matrix = _parse_path(parse_gf2, path)
+        matrix = _read(path, parse_gf2)
         if not isinstance(matrix, Gf2SymmetricMatrix):
             raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
         _check_classify_size(path, matrix.order)
@@ -277,8 +260,8 @@ def cmd_verify(args) -> int:
 def cmd_ribbon(args) -> int:
     if args.set is not None and args.action != "petrial":
         raise CliError("ribbon %s takes no --set argument" % args.action)
-    graph = _parse_path(parse_rg, args.file)
-    if not _has_vertex(graph):
+    graph = _read(args.file, parse_rg)
+    if not graph.vertices:
         raise CliError("%s: delta-matroid family may not be empty" % args.file)
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))
@@ -293,11 +276,7 @@ def cmd_ribbon(args) -> int:
         print(dump_rg(graph.petrial(mask)), end="")
         return 0
     if args.action == "to-dm":
-        try:
-            d = graph.delta_matroid()
-        except ValueError as exc:
-            raise CliError("%s: %s" % (args.file, exc)) from None
-        print(dump_dm(d), end="")
+        print(dump_dm(_on_file(args.file, graph.delta_matroid)), end="")
         return 0
     raise CliError("unknown ribbon action %r" % args.action)  # pragma: no cover
 

@@ -45,6 +45,14 @@ def _content_lines(text: str):
         yield lineno, raw, line
 
 
+def _label(lab: str, lineno: int) -> str:
+    """A .dm ground label or .rg edge label (which to-dm makes a ground
+    label): '{', '}' and ',' would break the printed set syntax."""
+    if any(c in lab for c in "{},"):
+        raise ParseError("label %r contains a reserved character" % lab, lineno)
+    return lab
+
+
 def parse_dm(text: str) -> DmFile:
     kind = DELTA_KIND
     ground: Optional[GroundSet] = None
@@ -67,9 +75,7 @@ def parse_dm(text: str) -> DmFile:
             for lab in labels:
                 if lab in bit_of:
                     raise ParseError("duplicate ground label %r" % lab, lineno)
-                bit_of[lab] = 1 << len(bit_of)
-                if any(c in lab for c in "{},"):
-                    raise ParseError("label %r contains a reserved character" % lab, lineno)
+                bit_of[_label(lab, lineno)] = 1 << len(bit_of)
             ground = GroundSet(tuple(labels))
         elif key == "feasible":
             if ground is None:
@@ -97,11 +103,8 @@ def parse_dm(text: str) -> DmFile:
     return DmFile(kind, SetSystem(ground, tuple(masks)))
 
 
-def dump_dm(system: SetSystem, kind: str = DELTA_KIND) -> str:
-    lines = []
-    if kind == MATROID_KIND:
-        lines.append("kind: matroid")
-    lines.append("ground: " + " ".join(system.ground.labels))
+def dump_dm(system: SetSystem) -> str:
+    lines = ["ground: " + " ".join(system.ground.labels)]
     for m in system.family:
         lines.append("feasible: " + system.render_set(m))
     return "\n".join(lines) + "\n"
@@ -180,7 +183,7 @@ def parse_rg(text: str) -> RibbonGraph:
             label, h1, h2, sign = tokens
             if sign not in ("+", "-"):
                 raise ParseError("edge sign must be '+' or '-'", lineno, raw.rfind(sign) + 1)
-            edges.append(RibbonEdge(label, (h1, h2), sign == "-"))
+            edges.append(RibbonEdge(_label(label, lineno), (h1, h2), sign == "-"))
         else:
             raise ParseError("unknown key %r" % key, lineno, 1)
     try:

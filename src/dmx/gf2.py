@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .core import (
+    RANK_TABLE_MAX_N,
     DeltaMatroid,
     GroundSet,
     Mask,
@@ -19,8 +20,9 @@ from .core import (
 )
 from .matroid import Matroid
 
-# Largest ground size the binary-representability decision accepts.
-BINARY_MAX_N = 12
+# Largest ground size the binary-representability decision accepts.  It is
+# core's rank-table bound, so that one value sets both.
+BINARY_MAX_N = RANK_TABLE_MAX_N
 
 # Largest order D(A) is built for: its code has 2^16 bits.  A ribbon graph's
 # delta-matroid is such a D(A) twisted, so this is its edge limit too.

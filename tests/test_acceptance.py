@@ -11,7 +11,7 @@ import time
 import pytest
 
 import dmx
-from dmx.core import DeltaMatroid, SetSystem, numbered_ground
+from dmx.core import DeltaMatroid, SetSystem
 from dmx.gf2 import is_binary
 from dmx.matroid import (
     Matroid,
@@ -19,17 +19,7 @@ from dmx.matroid import (
     is_eulerian_delta,
     lower_matroid,
 )
-from dmx.verify import (
-    binary_delta_corpus_up_to,
-    check_bipartite_dual_eulerian,
-    check_characterization,
-    check_odd_circuit,
-    check_operation_calculus,
-    check_ribbon_correspondence,
-    check_welsh_duality,
-    render_text,
-    ribbon_corpus,
-)
+from dmx.verify import SUITE, binary_delta_corpus_up_to, render_text, ribbon_corpus
 
 from test_gf2 import _exhaustive_search
 
@@ -95,10 +85,10 @@ def test_criterion_2_bipartite_loop_complement_corpus():
 def test_criterion_3_twist_of_binary_matroid_theorems():
     def body():
         start = time.perf_counter()
-        forward = check_bipartite_dual_eulerian(max_n=5)
+        forward = SUITE["bipartite_dual_eulerian"](max_n=5)
         assert not forward.counterexamples, render_text(forward)
         assert forward.witness_found  # converse hunt finds the recorded witness
-        both = check_characterization(max_n=5)
+        both = SUITE["characterization"](max_n=5)
         assert both.verdict, render_text(both)
         assert forward.tested == both.tested > 10000
         _assert_fast(start, 300.0)
@@ -109,7 +99,7 @@ def test_criterion_3_twist_of_binary_matroid_theorems():
 def test_criterion_4_odd_circuit_lemma():
     def body():
         start = time.perf_counter()
-        report = check_odd_circuit(max_n=4)
+        report = SUITE["odd_circuit"](max_n=4)
         assert report.verdict, render_text(report)
         assert report.witness_found  # non-binary witness fails the forward direction
         assert report.tested == len(binary_delta_corpus_up_to(4))
@@ -121,7 +111,7 @@ def test_criterion_4_odd_circuit_lemma():
 def test_criterion_5_three_way_eulerian_equivalence():
     def body():
         start = time.perf_counter()
-        report = check_welsh_duality(max_n=5)
+        report = SUITE["welsh_duality"](max_n=5)
         assert report.verdict, render_text(report)
         assert report.tested > 400
         _assert_fast(start, 60.0)
@@ -132,7 +122,7 @@ def test_criterion_5_three_way_eulerian_equivalence():
 def test_criterion_6_operation_calculus_identities():
     def body():
         start = time.perf_counter()
-        report = check_operation_calculus(max_n=3, seed=7, random_count=10000)
+        report = SUITE["operation_calculus"](max_n=3, seed=7, random_count=10000)
         assert report.verdict, render_text(report)
         assert report.tested >= 10000 + 174  # random n=6 corpus plus exhaustive n<=3
         _assert_fast(start, 300.0)
@@ -151,7 +141,7 @@ def test_criterion_7_ribbon_corpus():
         euler = lambda g: len(g.vertices) - len(g.edges) + g.boundary_components()
         assert any(g.is_orientable() and euler(g) == 2 for _, g in corpus)
         assert any(g.is_orientable() and euler(g) != 2 for _, g in corpus)
-        report = check_ribbon_correspondence()
+        report = SUITE["ribbon_correspondence"]()
         assert report.verdict, render_text(report)
         assert report.witness_found  # non-bipartite graph with Eulerian dual
         _assert_fast(start, 10.0)

@@ -148,6 +148,17 @@ def test_rg_parse_errors():
         parse_rg("face: 1a\n")
 
 
+@pytest.mark.parametrize("label", ["a,b", "{a", "a}", "{}", ","])
+def test_dm_ground_and_rg_edge_labels_share_the_reserved_rule(label):
+    want = "line 2: label %r contains a reserved character" % label
+    with pytest.raises(ParseError) as e:
+        parse_dm("# ground\nground: x %s\nfeasible: {}\n" % label)
+    assert str(e.value) == want
+    with pytest.raises(ParseError) as e:
+        parse_rg("vertex: 1a 1b\nedge: %s 1a 1b +\n" % label)
+    assert str(e.value) == want
+
+
 def test_canonical_output_is_sorted():
     s = SetSystem(numbered_ground(2), (0b11, 0b00, 0b10))
     assert dump_dm(s) == "ground: 1 2\nfeasible: {}\nfeasible: {2}\nfeasible: {1,2}\n"

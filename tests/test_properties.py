@@ -147,7 +147,8 @@ def test_gf2_file_round_trip(a):
 
 
 _CLI_ACTIONS = [
-    ("check",), ("classify",), ("ribbon", "classify"), ("ribbon", "to-dm"), ("ribbon", "petrial"),
+    ("check",), ("classify",), ("op", "dual"),
+    ("ribbon", "classify"), ("ribbon", "to-dm"), ("ribbon", "petrial"),
 ]
 
 
@@ -177,7 +178,11 @@ def _rg_lines(draw):
     cuts = sorted(draw(st.lists(st.integers(0, len(halves)), max_size=3)))
     bounds = [0] + cuts + [len(halves)]
     vertices = ["vertex: " + " ".join(halves[a:b]) for a, b in zip(bounds, bounds[1:])]
-    edges = ["edge: %d %da %db %s" % (i, i, i, draw(st.sampled_from("+-"))) for i in range(m)]
+    # edge labels become ground labels under to-dm; "{", "}" and "," are reserved
+    labels = [draw(st.sampled_from(["%d", "%d", "e%d", "é%d", "a,%d", "{%d", "%d}"])) % i
+              for i in range(m)]
+    edges = ["edge: %s %da %db %s" % (labels[i], i, i, draw(st.sampled_from("+-")))
+             for i in range(m)]
     return vertices + edges
 
 
@@ -186,16 +191,21 @@ _FILE_LINES = {".dm": _dm_lines(), ".gf2": _gf2_lines(), ".rg": _rg_lines()}
 
 @st.composite
 def cli_files(draw):
-    """A file suffix and mostly well-formed text in some format; half of the
-    files then lose a line, or get one line of arbitrary text."""
+    """A file suffix, the bytes of mostly well-formed text in some format,
+    and whether they are not UTF-8.  Three files in five lose a line, get a
+    line of arbitrary text or get a byte that no UTF-8 text holds."""
     suffix = draw(st.sampled_from(sorted(_FILE_LINES)))
     lines = draw(_FILE_LINES[draw(st.sampled_from([suffix, suffix, ".dm", ".gf2", ".rg"]))])
-    damage = draw(st.sampled_from(["none", "none", "drop", "insert"]))
+    damage = draw(st.sampled_from(["none", "none", "drop", "insert", "byte"]))
     if damage == "drop" and lines:
         del lines[draw(st.integers(0, len(lines) - 1))]
     elif damage == "insert":
         lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
-    return suffix, "\n".join(lines) + "\n"
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if damage == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + data[at:]
+    return suffix, data, damage == "byte"
 
 
 @pytest.fixture(scope="module")
@@ -207,15 +217,28 @@ def fuzz_dir(tmp_path_factory):
 @given(cli_files())
 def test_cli_exit_codes_on_arbitrary_files(fuzz_dir, case):
     """Every action on any file exits 0, 1 or 2, and never with a traceback:
-    a bad file is one error line on stderr."""
-    suffix, text = case
+    a bad file, one that is not UTF-8 among them, is one error line on
+    stderr.  What ribbon to-dm prints, dmx check reads back as valid."""
+    suffix, data, not_utf8 = case
     path = fuzz_dir / ("input" + suffix)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     for action in _CLI_ACTIONS:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([*action, str(path)])
+        code, out, err = _run_cli(*action, str(path))
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if code == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+        if not_utf8:
+            assert code == 2 and err.startswith("error: %s: " % path)
+        if action == ("ribbon", "to-dm") and code == 0:
+            dm = fuzz_dir / "to-dm.dm"
+            dm.write_text(out, encoding="utf-8")
+            code, report, _ = _run_cli("check", str(dm))
+            assert code == 0 and report.endswith("valid: yes\n")
+
+
+def _run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
