@@ -22,6 +22,7 @@ from .core import (
 )
 from .formats import (
     MATROID_KIND,
+    DmFile,
     dump_dm,
     dump_rg,
     parse_dm,
@@ -35,6 +36,7 @@ from .gf2 import (
     delta_matroid_from_symmetric,
 )
 from .matroid import Matroid, classify_delta
+from .ribbon import RibbonGraph
 
 
 class CliError(Exception):
@@ -61,9 +63,24 @@ def _on_file(path: str, fn, *args):
         raise CliError("%s: %s" % (path, exc)) from None
 
 
-def _read(path: str, parse):
-    """Read a UTF-8 file and parse it."""
-    return _on_file(path, lambda: parse(Path(path).read_text(encoding="utf-8")))
+# the parser of each file kind; every command names the suffixes it reads.
+# A parser's name is looked up per call, so a wrapper installed on it (as
+# perfbench/tracer.py installs one) sees every parse.
+PARSERS = {
+    ".dm": lambda text: parse_dm(text),
+    ".gf2": lambda text: parse_gf2(text),
+    ".rg": lambda text: parse_rg(text),
+}
+
+
+def _read(path: str, *suffixes: str):
+    """Read a UTF-8 file and parse it by its suffix, one of ``suffixes``."""
+    suffix = Path(path).suffix
+    if suffix not in suffixes:
+        *rest, last = suffixes
+        expected = "%s or %s" % (", ".join(rest), last) if rest else last
+        raise CliError("%s: unknown file extension %r (expected %s)" % (path, suffix, expected))
+    return _on_file(path, lambda: PARSERS[suffix](Path(path).read_text(encoding="utf-8")))
 
 
 def _check_classify_size(path: str, n: int) -> None:
@@ -110,50 +127,43 @@ def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
 
 
 def cmd_check(args) -> int:
-    path = args.file
-    suffix = Path(path).suffix
-    if suffix == ".dm":
-        dm = _read(path, parse_dm)
-        print("kind: %s" % dm.kind)
-        print("ground: %s" % " ".join(dm.system.ground.labels))
-        print("feasible-sets: %d" % len(dm.system.family))
+    parsed = _read(args.file, ".dm", ".gf2", ".rg")
+    if isinstance(parsed, DmFile):
+        print("kind: %s" % parsed.kind)
+        print("ground: %s" % " ".join(parsed.system.ground.labels))
+        print("feasible-sets: %d" % len(parsed.system.family))
         try:
-            if dm.kind == MATROID_KIND:
-                Matroid.from_bases(dm.system)
+            if parsed.kind == MATROID_KIND:
+                Matroid.from_bases(parsed.system)
             else:
-                validate_delta_matroid(dm.system)
+                validate_delta_matroid(parsed.system)
         except ValueError as exc:
             print("valid: no")
             print("reason: %s" % exc)
         else:
             print("valid: yes")
-        return 0
-    if suffix == ".gf2":
-        matrix = _read(path, parse_gf2)
-        if isinstance(matrix, Gf2SymmetricMatrix):
-            print("kind: gf2sym")
-            print("order: %d" % matrix.order)
-        else:
-            print("kind: gf2")
-            print("shape: %d %d" % (len(matrix.rows), matrix.cols))
-        print("valid: yes")
-        return 0
-    if suffix == ".rg":
-        graph = _read(path, parse_rg)
+    elif isinstance(parsed, RibbonGraph):
         print("kind: ribbon")
-        print("vertices: %d" % len(graph.vertices))
-        print("edges: %d" % len(graph.edges))
-        if graph.vertices:
+        print("vertices: %d" % len(parsed.vertices))
+        print("edges: %d" % len(parsed.edges))
+        if parsed.vertices:
             print("valid: yes")
         else:
             print("valid: no")
             print("reason: %s" % NO_VERTEX_REASON)
-        return 0
-    raise CliError("%s: unknown file extension %r (expected .dm, .gf2 or .rg)" % (path, suffix))
+    else:
+        if isinstance(parsed, Gf2SymmetricMatrix):
+            print("kind: gf2sym")
+            print("order: %d" % parsed.order)
+        else:
+            print("kind: gf2")
+            print("shape: %d %d" % (len(parsed.rows), parsed.cols))
+        print("valid: yes")
+    return 0
 
 
 def cmd_op(args) -> int:
-    d = _on_file(args.file, certify_delta_matroid, _read(args.file, parse_dm).system)[0]
+    d = _on_file(args.file, certify_delta_matroid, _read(args.file, ".dm").system)[0]
     if args.operation == "dual":
         if args.set is not None:
             raise CliError("dual takes no --set argument")
@@ -207,21 +217,17 @@ def _classify_lines(d: DeltaMatroid, cert: BinaryCertificate) -> list[str]:
 
 def cmd_classify(args) -> int:
     path = args.file
-    suffix = Path(path).suffix
-    if suffix == ".dm":
-        system = _read(path, parse_dm).system
-        _check_classify_size(path, system.ground.size)
-        d, cert = _on_file(path, certify_delta_matroid, system)
-    elif suffix == ".gf2":
-        matrix = _read(path, parse_gf2)
-        if not isinstance(matrix, Gf2SymmetricMatrix):
-            raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
-        _check_classify_size(path, matrix.order)
+    parsed = _read(path, ".dm", ".gf2")
+    if isinstance(parsed, DmFile):
+        _check_classify_size(path, parsed.system.ground.size)
+        d, cert = _on_file(path, certify_delta_matroid, parsed.system)
+    elif isinstance(parsed, Gf2SymmetricMatrix):
+        _check_classify_size(path, parsed.order)
         # D(A) holds the empty set, so A is its own certificate
-        d = delta_matroid_from_symmetric(matrix)
-        cert = BinaryCertificate(True, 0, matrix, None)
+        d = delta_matroid_from_symmetric(parsed)
+        cert = BinaryCertificate(True, 0, parsed, None)
     else:
-        raise CliError("%s: classification accepts .dm and .gf2 files" % path)
+        raise CliError("%s: classification needs a symmetric (gf2sym) matrix" % path)
     for line in _classify_lines(d, cert):
         print(line)
     return 0
@@ -242,9 +248,10 @@ def cmd_verify(args) -> int:
         raise CliError("--max-n must be at least 0, got %d" % args.max_n)
     if args.shards < 1:
         raise CliError("--shards must be at least 1, got %d" % args.shards)
-    names = None if args.suite == "all" else [args.suite]
     try:
-        reports = verify.run_suite(names, max_n=args.max_n, seed=args.seed, shards=args.shards)
+        reports = verify.run_suite(
+            [args.suite], max_n=args.max_n, seed=args.seed, shards=args.shards
+        )
     except KeyError:
         raise CliError(
             "unknown suite %r (available: all, %s)" % (args.suite, ", ".join(verify.SUITE))
@@ -260,7 +267,7 @@ def cmd_verify(args) -> int:
 def cmd_ribbon(args) -> int:
     if args.set is not None and args.action != "petrial":
         raise CliError("ribbon %s takes no --set argument" % args.action)
-    graph = _read(args.file, parse_rg)
+    graph = _read(args.file, ".rg")
     if not graph.vertices:
         raise CliError("%s: delta-matroid family may not be empty" % args.file)
     if args.action == "classify":

@@ -5,8 +5,10 @@ Every check is a `Check` record in the `SUITE` table: a corpus, a test that
 returns the violations of one instance, and for a one-directional result a
 recorded witness on which the converse fails.  One executor runs them all.
 Every generator is deterministic given its arguments; every check is
-deterministic given (max_n, seed), and sharded runs merge to the same report
-as a single-shard run.
+deterministic given (max_n, seed).  With T shards, shard t tests the
+instances whose index is t modulo T, the shards run one after another, and
+the counterexamples are reported in (instance index, detail) order, so the
+report is the same for every T.
 """
 
 from __future__ import annotations
@@ -75,45 +77,21 @@ CONVERSE_WITNESS_MATROID = Matroid(numbered_ground(2), (0b01, 0b10))
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    index: int
-    detail: str
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """What a check prints: its counterexample details in (instance index,
+    detail) order, and witness None when the check records no witness."""
+
     name: str
     tested: int
-    counterexamples: tuple[Counterexample, ...]
-    requires_witness: bool
-    witness_found: bool
+    counterexamples: tuple[str, ...]
+    witness: Optional[bool]
     elapsed: float
 
     @property
     def verdict(self) -> bool:
-        """Pass needs at least one tested instance: a vacuous check fails."""
-        if self.counterexamples or not self.tested:
-            return False
-        return not self.requires_witness or self.witness_found
-
-
-def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
-    """Associative, commutative shard merge; counterexamples come out in
-    canonical (global instance index) order."""
-    names = {r.name for r in reports}
-    if len(names) != 1:
-        raise ValueError("cannot merge reports of different checks: %s" % sorted(names))
-    ces = sorted(
-        (c for r in reports for c in r.counterexamples), key=lambda c: (c.index, c.detail)
-    )
-    return VerificationReport(
-        reports[0].name,
-        sum(r.tested for r in reports),
-        tuple(ces),
-        any(r.requires_witness for r in reports),
-        any(r.witness_found for r in reports),
-        sum(r.elapsed for r in reports),
-    )
+        """Pass needs no counterexample, a witness that holds if one is
+        recorded, and at least one tested instance: a vacuous check fails."""
+        return bool(self.tested) and not self.counterexamples and self.witness is not False
 
 
 def render_text(report: VerificationReport) -> str:
@@ -122,10 +100,9 @@ def render_text(report: VerificationReport) -> str:
         "tested: %d" % report.tested,
         "failed: %d" % len(report.counterexamples),
     ]
-    for c in report.counterexamples:
-        lines.append("counterexample: %s" % c.detail)
-    if report.requires_witness:
-        lines.append("witness: %s" % ("found" if report.witness_found else "missing"))
+    lines += ["counterexample: %s" % c for c in report.counterexamples]
+    if report.witness is not None:
+        lines.append("witness: %s" % ("found" if report.witness else "missing"))
     lines.append("verdict: %s" % ("pass" if report.verdict else "fail"))
     return "\n".join(lines) + "\n"
 
@@ -163,22 +140,20 @@ class Check:
     def __call__(
         self, max_n: int = 3, seed: int = 0, shards: int = 1, **corpus_args
     ) -> VerificationReport:
+        if shards < 1:
+            raise ValueError("shards must be at least 1, got %d" % shards)
         items = self.corpus(max_n, seed, **corpus_args)
         start = time.perf_counter()
-        parts = []
-        # shards beyond the instance count would only add empty parts
-        for t in range(min(shards, max(1, len(items)))):
-            part = range(t, len(items), shards)
-            ces = tuple(Counterexample(i, v) for i in part for v in self.test(items[i]))
-            parts.append(VerificationReport(self.name, len(part), ces, False, False, 0.0))
-        merged = merge_reports(parts)
+        n = len(items)
+        # shard t holds the indices i = t (mod shards); the shards run in turn
+        order = [i for t in range(min(shards, n)) for i in range(t, n, shards)]
+        found = sorted((i, v) for i in order for v in self.test(items[i]))
         w = self.witness
         return VerificationReport(
             self.name,
-            merged.tested,
-            merged.counterexamples,
-            w is not None,
-            w is not None and w.converse_fails(w.instance),
+            len(order),
+            tuple(v for _, v in found),
+            None if w is None else w.converse_fails(w.instance),
             time.perf_counter() - start,
         )
 
@@ -920,8 +895,6 @@ def run_suite(
     seed: int = 0,
     shards: int = 1,
 ) -> list[VerificationReport]:
-    if shards < 1:
-        raise ValueError("shards must be at least 1, got %d" % shards)
     chosen = list(SUITE) if not names or list(names) == ["all"] else list(names)
     for name in chosen:
         if name not in SUITE:

@@ -87,7 +87,7 @@ def test_criterion_3_twist_of_binary_matroid_theorems():
         start = time.perf_counter()
         forward = SUITE["bipartite_dual_eulerian"](max_n=5)
         assert not forward.counterexamples, render_text(forward)
-        assert forward.witness_found  # converse hunt finds the recorded witness
+        assert forward.witness is True  # converse hunt finds the recorded witness
         both = SUITE["characterization"](max_n=5)
         assert both.verdict, render_text(both)
         assert forward.tested == both.tested > 10000
@@ -101,7 +101,7 @@ def test_criterion_4_odd_circuit_lemma():
         start = time.perf_counter()
         report = SUITE["odd_circuit"](max_n=4)
         assert report.verdict, render_text(report)
-        assert report.witness_found  # non-binary witness fails the forward direction
+        assert report.witness is True  # non-binary witness fails the forward direction
         assert report.tested == len(binary_delta_corpus_up_to(4))
         _assert_fast(start, 60.0)
 
@@ -143,7 +143,7 @@ def test_criterion_7_ribbon_corpus():
         assert any(g.is_orientable() and euler(g) != 2 for _, g in corpus)
         report = SUITE["ribbon_correspondence"]()
         assert report.verdict, render_text(report)
-        assert report.witness_found  # non-bipartite graph with Eulerian dual
+        assert report.witness is True  # non-bipartite graph with Eulerian dual
         _assert_fast(start, 10.0)
 
     _report(7, body)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -113,6 +114,34 @@ def test_unknown_extension(tmp_path):
     p.write_text("hi")
     code, _, err = run("check", str(p))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, suffix, expected",
+    [
+        ("check", ".txt", ".dm, .gf2 or .rg"),
+        ("classify", ".rg", ".dm or .gf2"),
+        ("classify", ".txt", ".dm or .gf2"),
+        ("op dual", ".rg", ".dm"),
+        ("op twist --set 1", ".gf2", ".dm"),
+        ("op dual", ".txt", ".dm"),
+        ("ribbon classify", ".dm", ".rg"),
+        ("ribbon to-dm", ".gf2", ".rg"),
+        ("ribbon petrial", ".txt", ".rg"),
+    ],
+)
+def test_command_rejects_a_suffix_it_does_not_read(tmp_path, command, suffix, expected):
+    """Every command names the suffixes it reads and refuses any other file
+    before reading it, with the one message check gives: contents that would
+    parse under the command's own suffix do not change that."""
+    argv = command.split()
+    p = tmp_path / ("x" + suffix)
+    p.write_text(RG if argv[0] == "ribbon" else DM)
+    assert run(*argv, str(p)) == (
+        2,
+        "",
+        "error: %s: unknown file extension %r (expected %s)\n" % (p, suffix, expected),
+    )
 
 
 def test_op_twist(files):
@@ -374,20 +403,21 @@ def test_verify_passes_below_witness_size(max_n):
 
 
 def test_verify_shards_beyond_instance_count(monkeypatch):
-    merged_sizes = []
-    merge_reports = verify.merge_reports
+    """Shards beyond the instance count cost nothing: each of the 13 ribbon
+    graphs is tested once, and the report is that of one shard."""
+    check = verify.SUITE["ribbon_correspondence"]
+    calls = []
 
-    def merge(parts):
-        merged_sizes.append(len(parts))
-        return merge_reports(parts)
+    def counting(item):
+        calls.append(item)
+        return check.test(item)
 
-    monkeypatch.setattr(verify, "merge_reports", merge)
+    monkeypatch.setitem(verify.SUITE, check.name, dataclasses.replace(check, test=counting))
     suite = ("verify", "--suite", "ribbon_correspondence", "--max-n", "2")
     code, many, _ = run(*suite, "--shards", "300000")
+    assert code == 0 and len(calls) == len(verify.ribbon_corpus()) == 13
     code1, one, _ = run(*suite, "--shards", "1")
-    items = len(verify.ribbon_corpus())
-    assert code == 0 and code1 == 0 and many == one
-    assert merged_sizes == [items, 1]
+    assert code1 == 0 and many == one
 
 
 def test_verify_unknown_suite():

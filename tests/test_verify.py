@@ -27,7 +27,6 @@ from dmx.matroid import (
 )
 from dmx.ribbon import RibbonGraph
 from dmx.verify import (
-    Counterexample,
     VerificationReport,
     SUITE,
     all_symmetric_matrices,
@@ -38,7 +37,6 @@ from dmx.verify import (
     delta_matroids_exact,
     delta_matroids_up_to,
     enumerate_delta_matroids,
-    merge_reports,
     matroid_twist_pairs,
     random_delta_matroids,
     render_record,
@@ -224,43 +222,58 @@ def test_ribbon_correspondence_catches_a_dropped_quasi_tree(monkeypatch):
     assert len(mutated) > len(corpus) // 2
     report = verify.SUITE["ribbon_correspondence"]()
     assert not report.verdict and report.tested == len(corpus)
-    assert [c.detail for c in report.counterexamples] == [
+    assert list(report.counterexamples) == [
         "%s :: delta_matroid differs from the quasi-tree family" % name for name in mutated
     ]
 
 
-def test_merge_reports_is_order_insensitive():
-    r1 = VerificationReport("x", 2, (Counterexample(5, "b"),), False, False, 0.1)
-    r2 = VerificationReport("x", 3, (Counterexample(1, "a"),), False, False, 0.2)
-    m12 = merge_reports([r1, r2])
-    m21 = merge_reports([r2, r1])
-    assert m12.tested == 5
-    assert m12.counterexamples == (Counterexample(1, "a"), Counterexample(5, "b"))
-    assert m12.counterexamples == m21.counterexamples
-    with pytest.raises(ValueError):
-        merge_reports([r1, VerificationReport("y", 0, (), False, False, 0.0)])
-
-
 def test_verdict_logic():
-    ok = VerificationReport("x", 1, (), False, False, 0.0)
+    ok = VerificationReport("x", 1, (), None, 0.0)
     assert ok.verdict
-    missing = VerificationReport("x", 1, (), True, False, 0.0)
+    missing = VerificationReport("x", 1, (), False, 0.0)
     assert not missing.verdict
-    found = VerificationReport("x", 1, (), True, True, 0.0)
+    found = VerificationReport("x", 1, (), True, 0.0)
     assert found.verdict
-    failed = VerificationReport("x", 1, (Counterexample(0, "z"),), False, False, 0.0)
+    failed = VerificationReport("x", 1, ("z",), None, 0.0)
     assert not failed.verdict
-    vacuous = VerificationReport("x", 0, (), False, False, 0.0)
+    assert not VerificationReport("x", 1, ("z",), True, 0.0).verdict
+    vacuous = VerificationReport("x", 0, (), None, 0.0)
     assert not vacuous.verdict
+    assert not VerificationReport("x", 0, (), True, 0.0).verdict
 
 
 def test_render_formats():
-    r = VerificationReport("x", 7, (), True, True, 1.25)
-    text = render_text(r)
-    assert "check: x" in text and "witness: found" in text and "verdict: pass" in text
-    assert "1.25" not in text  # timing never enters the text report
-    rec = render_record(r)
-    assert rec.split("\t") == ["x", "7", "0", "pass", "1.250"]
+    for witness, line, verdict in (
+        (None, None, "pass"),
+        (True, "witness: found", "pass"),
+        (False, "witness: missing", "fail"),
+    ):
+        r = VerificationReport("x", 7, (), witness, 1.25)
+        text = render_text(r)
+        expected = ["check: x", "tested: 7", "failed: 0", line, "verdict: " + verdict]
+        assert text.splitlines() == [x for x in expected if x is not None]
+        assert "1.25" not in text  # timing never enters the text report
+        assert render_record(r).split("\t") == ["x", "7", "0", verdict, "1.250"]
+
+
+def test_counterexamples_come_in_instance_then_detail_order():
+    """Each instance yields its details out of alphabetical order, and the
+    details' alphabetical order runs against the instance order: the report
+    lists them by (instance index, detail) whatever the shard count."""
+    seen = []
+
+    def details(i):
+        seen.append(i)
+        return ["%d %s" % (9 - i, word) for word in ("pear", "fig", "plum")]
+
+    check = verify.Check("order", lambda max_n, seed: list(range(5)), details)
+    expected = tuple("%d %s" % (9 - i, w) for i in range(5) for w in ("fig", "pear", "plum"))
+    for shards, order in ((1, [0, 1, 2, 3, 4]), (2, [0, 2, 4, 1, 3]), (300_000, [0, 1, 2, 3, 4])):
+        seen.clear()
+        report = check(shards=shards)
+        assert seen == order
+        assert (report.tested, report.counterexamples, report.witness) == (5, expected, None)
+        assert render_text(report).splitlines()[3:-1] == ["counterexample: " + c for c in expected]
 
 
 def test_every_check_passes_at_small_size():
@@ -282,11 +295,11 @@ def test_sharded_run_matches_unsharded():
     one = run_suite(["min_deletion", "operation_calculus"], max_n=2, seed=1, shards=1)
     four = run_suite(["min_deletion", "operation_calculus"], max_n=2, seed=1, shards=4)
     for a, b in zip(one, four):
-        assert (a.name, a.tested, a.counterexamples, a.witness_found) == (
+        assert (a.name, a.tested, a.counterexamples, a.witness) == (
             b.name,
             b.tested,
             b.counterexamples,
-            b.witness_found,
+            b.witness,
         )
 
 
@@ -759,6 +772,10 @@ def test_run_suite_rejects_unknown_name():
 def test_run_suite_rejects_nonpositive_shards():
     with pytest.raises(ValueError, match="shards must be at least 1"):
         run_suite(["lower_bound"], shards=0)
+    # a check called on its own refuses them too, rather than test nothing
+    for shards in (0, -1):
+        with pytest.raises(ValueError, match="shards must be at least 1"):
+            SUITE["lower_bound"](shards=shards)
 
 
 def test_vacuous_check_does_not_pass():
