@@ -83,6 +83,15 @@ def _read(path: str, *suffixes: str):
     return _on_file(path, lambda: PARSERS[suffix](Path(path).read_text(encoding="utf-8")))
 
 
+def _certify(path: str, parsed: DmFile) -> tuple[DeltaMatroid, Optional[BinaryCertificate]]:
+    """The delta-matroid of a parsed .dm file and its binarity certificate;
+    a `kind: matroid` file is a Matroid, so its bases must be equicardinal."""
+    d, cert = _on_file(path, certify_delta_matroid, parsed.system)
+    if parsed.kind == MATROID_KIND:
+        d = _on_file(path, Matroid._from_canonical, d.ground, d.family)
+    return d, cert
+
+
 def _check_classify_size(path: str, n: int) -> None:
     if n > BINARY_MAX_N:
         raise CliError(
@@ -163,7 +172,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_op(args) -> int:
-    d = _on_file(args.file, certify_delta_matroid, _read(args.file, ".dm").system)[0]
+    d = _certify(args.file, _read(args.file, ".dm"))[0]
     if args.operation == "dual":
         if args.set is not None:
             raise CliError("dual takes no --set argument")
@@ -220,7 +229,7 @@ def cmd_classify(args) -> int:
     parsed = _read(path, ".dm", ".gf2")
     if isinstance(parsed, DmFile):
         _check_classify_size(path, parsed.system.ground.size)
-        d, cert = _on_file(path, certify_delta_matroid, parsed.system)
+        d, cert = _certify(path, parsed)
     elif isinstance(parsed, Gf2SymmetricMatrix):
         _check_classify_size(path, parsed.order)
         # D(A) holds the empty set, so A is its own certificate

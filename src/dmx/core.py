@@ -233,21 +233,6 @@ class GroundSet:
         return tuple(self.labels[i] for i in indices_of(mask))
 
 
-# Minor grounds kept by _minor_ground: a verify run at --max-n 5 looks up
-# about 6,500 minors but only 32 distinct (ground, removed mask) pairs.
-MINOR_GROUND_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=MINOR_GROUND_CACHE_SIZE)
-def _minor_ground(ground: GroundSet, removed: Mask) -> GroundSet:
-    """The ground left after removing the elements of a mask.  The labels are
-    a subsequence of distinct labels, so they are not checked again."""
-    labels = tuple(lab for i, lab in enumerate(ground.labels) if not removed >> i & 1)
-    out = object.__new__(GroundSet)
-    object.__setattr__(out, "labels", labels)
-    return out
-
-
 def numbered_ground(n: int) -> GroundSet:
     """Ground set with labels "1".."n"."""
     return GroundSet(tuple(str(i + 1) for i in range(n)))
@@ -360,8 +345,6 @@ class SetSystem:
         """
         self._check_mask(a)
         fam = loop_complement_masks(self.family, a, len(self.ground.labels))
-        if not fam:
-            raise ImproperSystemError("loop complementation produced an empty family")
         return SetSystem._from_canonical(self.ground, fam)
 
     # -- minors --------------------------------------------------------------
@@ -379,9 +362,10 @@ class SetSystem:
         self._check_mask(contract)
         if delete & contract:
             raise ValueError("delete and contract sets overlap")
+        removed = delete | contract
+        labels = tuple(lab for i, lab in enumerate(self.ground.labels) if not removed >> i & 1)
         return type(self)._from_canonical(
-            _minor_ground(self.ground, delete | contract),
-            minor_masks(self.family, delete, contract),
+            GroundSet(labels), minor_masks(self.family, delete, contract)
         )
 
     def restrict(self, a: Mask) -> "SetSystem":

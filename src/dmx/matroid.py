@@ -48,8 +48,13 @@ class Matroid(DeltaMatroid):
     def _check_class(self) -> None:
         super()._check_class()
         # the canonical order sorts by cardinality first
-        if self.family[0].bit_count() != self.family[-1].bit_count():
-            raise MatroidError("bases must be equicardinal")
+        first = self.family[0]
+        if first.bit_count() != self.family[-1].bit_count():
+            other = next(m for m in self.family if m.bit_count() != first.bit_count())
+            raise MatroidError(
+                "bases %s and %s differ in cardinality"
+                % (self.render_set(first), self.render_set(other))
+            )
 
     @property
     def bases(self) -> tuple[Mask, ...]:
@@ -63,13 +68,8 @@ class Matroid(DeltaMatroid):
     def from_bases(cls, system: SetSystem) -> "Matroid":
         if not system.family:
             raise ImproperSystemError("a matroid needs at least one base")
-        first = system.family[0]
-        for m in system.family:
-            if m.bit_count() != first.bit_count():
-                raise MatroidError(
-                    "bases %s and %s differ in cardinality"
-                    % (system.render_set(first), system.render_set(m))
-                )
+        # construction checks that the bases are equicardinal
+        m = cls._from_canonical(system.ground, system.family)
         try:
             validate_delta_matroid(system)
         except SymmetricExchangeError as exc:
@@ -78,7 +78,7 @@ class Matroid(DeltaMatroid):
                 "base exchange fails at B1=%s, B2=%s, u=%s"
                 % (system.render_set(x), system.render_set(y), system.ground.labels[u])
             ) from None
-        return cls._from_canonical(system.ground, system.family)
+        return m
 
     # -- independence ----------------------------------------------------------
 
@@ -93,7 +93,7 @@ class Matroid(DeltaMatroid):
     @cached_property
     def circuits(self) -> tuple[Mask, ...]:
         """Inclusion-minimal dependent sets, in canonical order."""
-        return _classification(self.ground.size, mask_of(self.family)).circuits
+        return classify_matroid(self).circuits
 
     def dual(self) -> "Matroid":
         """Bases are the complements of bases; coincides with the twist by E."""
@@ -154,20 +154,15 @@ def _exact_cover(full: Mask, circuits: tuple[Mask, ...]) -> Optional[tuple[Mask,
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    circuits: tuple[Mask, ...]
     bipartite: bool
     eulerian: bool
     eulerian_partition: Optional[tuple[Mask, ...]]
     odd_circuit_witness: Optional[Mask]
 
 
-@dataclass(frozen=True)
-class _Classification:
-    circuits: tuple[Mask, ...]
-    report: ClassificationReport
-
-
 @lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
-def _classification(n: int, bases: int) -> _Classification:
+def _classification(n: int, bases: int) -> ClassificationReport:
     """Circuits, first odd circuit and Eulerian partition of the matroid on
     n elements whose bases have the indicator code `bases`.
 
@@ -191,13 +186,11 @@ def _classification(n: int, bases: int) -> _Classification:
     circ = tuple(circuits)
     odd = next((c for c in circ if c.bit_count() & 1), None)
     partition = _exact_cover((1 << n) - 1, circ)
-    return _Classification(
-        circ, ClassificationReport(odd is None, partition is not None, partition, odd)
-    )
+    return ClassificationReport(circ, odd is None, partition is not None, partition, odd)
 
 
 def classify_matroid(m: Matroid) -> ClassificationReport:
-    return _classification(m.ground.size, mask_of(m.family)).report
+    return _classification(m.ground.size, mask_of(m.family))
 
 
 def lower_bases(family: tuple[Mask, ...]) -> tuple[Mask, ...]:
@@ -224,12 +217,12 @@ def lower_code(code: int, n: int) -> int:
 
 def classify_family(n: int, family: tuple[Mask, ...]) -> ClassificationReport:
     """classify_delta of a nonempty canonical family on n elements."""
-    return _classification(n, mask_of(lower_bases(family))).report
+    return _classification(n, mask_of(lower_bases(family)))
 
 
 def classify_code(n: int, code: int) -> ClassificationReport:
     """classify_family of the family with this code."""
-    return _classification(n, lower_code(code, n)).report
+    return _classification(n, lower_code(code, n))
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:

@@ -466,24 +466,22 @@ def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row F, for every F < 2^n: the sizes |F & A| for every A < 2^n."""
-    cap = 1 << n
-    return tuple(tuple((f & a).bit_count() for a in range(cap)) for f in range(cap))
-
-
 def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask]:
     """The A in subsets that some feasible set meets in fewer elements than
-    every lower-matroid base does.  The minima over a family for every A come
-    from one elementwise min over its rows of the meet table; the first row
-    goes in twice, so min gets at least two arguments."""
-    rows = _meet_table(d.ground.size)
-    fam = [rows[f] for f in d.family]
-    meet = list(map(min, fam[0], *fam))
-    bases = [rows[b] for b in lower_bases(d.family)]
-    base_meet = list(map(min, bases[0], *bases))
-    return [a for a in subsets if meet[a] < base_meet[a]]
+    every lower-matroid base does.
+
+    A feasible set F that holds a base B meets every A in at least |B & A|
+    elements, so no A fails when every F holds a base; when some F holds
+    none, A = E - F fails.  Only then are the A compared one by one."""
+    fam = d.family
+    bases = lower_bases(fam)
+    if all(any(not b & ~f for b in bases) for f in fam):
+        return []
+    return [
+        a
+        for a in subsets
+        if min((f & a).bit_count() for f in fam) < min((b & a).bit_count() for b in bases)
+    ]
 
 
 def _min_deletion(d: DeltaMatroid) -> list[str]:
@@ -498,11 +496,13 @@ def _min_deletion(d: DeltaMatroid) -> list[str]:
 def _qualifying_circuit(d: DeltaMatroid) -> bool:
     """Some circuit C of the lower matroid is feasible in D restricted to C,
     i.e. the restriction's canonical family ends with its full ground set."""
-    for c in lower_matroid(d).circuits:
-        r = d.restrict(c)
-        if r.family[-1] == r.ground.full_mask:
-            return True
-    return False
+    n = d.ground.size
+    fam = d.family
+    full = (1 << n) - 1
+    return any(
+        minor_masks(fam, full ^ c, 0)[-1] == (1 << c.bit_count()) - 1
+        for c in classify_family(n, fam).circuits
+    )
 
 
 def _odd_circuit(d: DeltaMatroid) -> list[str]:
@@ -517,7 +517,9 @@ def _odd_circuit(d: DeltaMatroid) -> list[str]:
 def _bipartite_loop_complement(d: DeltaMatroid) -> list[str]:
     """Binary even delta-matroid is bipartite iff its loop complementation on
     the whole ground set is even."""
-    if is_bipartite_delta(d) != (d.loop_complement(d.ground.full_mask).parity() == EVEN):
+    n = d.ground.size
+    lc = loop_complement_masks(d.family, (1 << n) - 1, n)
+    if classify_family(n, d.family).bipartite != (parity_masks(lc) == EVEN):
         return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(d)]
     return []
 
@@ -525,9 +527,10 @@ def _bipartite_loop_complement(d: DeltaMatroid) -> list[str]:
 def _welsh_duality(m: Matroid) -> list[str]:
     """Binary matroid is Eulerian iff its dual is bipartite iff its
     independent-set count is odd."""
+    n = m.ground.size
     v = []
-    eul = m.is_eulerian()
-    if eul != m.dual().is_bipartite():
+    eul = classify_family(n, m.family).eulerian
+    if eul != classify_family(n, twist_masks(m.family, (1 << n) - 1, n)).bipartite:
         v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(m))
     if eul != bool(m.count_independent_sets() & 1):
         v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(m))
@@ -557,9 +560,11 @@ def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
 def _circuit_contraction(m: Matroid) -> list[str]:
     """Contracting an element outside a circuit of a binary matroid leaves the
     circuit a circuit or a disjoint union of exactly two circuits."""
+    n = m.ground.size
+    fam = m.family
     v = []
-    contracted = [m.contract(e).circuits for e in range(m.ground.size)]
-    for c in m.circuits:
+    contracted = [classify_family(n - 1, minor_masks(fam, 0, 1 << e)).circuits for e in range(n)]
+    for c in classify_family(n, fam).circuits:
         for e, circuits in enumerate(contracted):
             if (c >> e) & 1:
                 continue
@@ -798,10 +803,11 @@ def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     so the check does not rest on the binarity RibbonGraph.delta_matroid
     relies on; that method must return the same family."""
     name, g = item
+    n = len(g.edges)
     v = []
     d = DeltaMatroid(
         GroundSet(g.edge_labels),
-        tuple(a for a in range(1 << len(g.edges)) if g.boundary_components(a) == 1),
+        tuple(a for a in range(1 << n) if g.boundary_components(a) == 1),
     )
     if exchange_violation_masks(d.family) is not None:
         v.append("%s :: quasi-tree family violates symmetric exchange" % name)
@@ -813,7 +819,7 @@ def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     bipartite = g.underlying_bipartite()
     if orientable and bipartite != g.petrial().is_orientable():
         v.append("%s :: petrial orientability criterion fails" % name)
-    if bipartite and not is_eulerian_delta(d.dual()):
+    if bipartite and not classify_family(n, twist_masks(d.family, (1 << n) - 1, n)).eulerian:
         v.append("%s :: bipartite graph with non-Eulerian dual" % name)
     return v
 

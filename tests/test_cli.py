@@ -89,6 +89,33 @@ def test_check_matroid_base_exchange_failure(tmp_path):
     ]
 
 
+UNEQUAL_MATROID = "kind: matroid\nground: 1 2\nfeasible: {}\nfeasible: {1,2}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify",), ("op", "dual"), ("op", "twist", "--set", "1"), ("op", "delete", "--set", "1")],
+)
+def test_matroid_kind_with_unequal_bases_is_refused(tmp_path, argv):
+    """check reports the bases that differ in size; classify and op refuse
+    the file with the same reason, although it is a valid delta-matroid."""
+    p = tmp_path / "m.dm"
+    p.write_text(UNEQUAL_MATROID)
+    code, out, _ = run("check", str(p))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["valid: no", "reason: bases {} and {1,2} differ in cardinality"]
+    assert run(*argv, str(p)) == (2, "", "error: %s: bases {} and {1,2} differ in cardinality\n" % p)
+    # as a delta-matroid the same family is accepted
+    p.write_text(UNEQUAL_MATROID.replace("kind: matroid\n", ""))
+    assert run(*argv, str(p))[0] == 0
+
+
+def test_classify_and_op_accept_a_matroid_kind(files):
+    code, out, _ = run("classify", files["m.dm"])
+    assert code == 0 and "bipartite: yes" in out.splitlines()
+    assert run("op", "dual", files["m.dm"]) == (0, "ground: 1 2\nfeasible: {1}\nfeasible: {2}\n", "")
+
+
 def test_check_gf2_and_rg(files):
     code, out, _ = run("check", files["a.gf2"])
     assert code == 0 and "kind: gf2sym" in out

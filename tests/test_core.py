@@ -413,6 +413,9 @@ def _loop_complement_reference(family, a):
 
 def _assert_loop_complement_matches_reference(g, family, a):
     got = loop_complement_masks(family, a, g.size)
+    # toggling by e keeps every set without e, and changes nothing when no
+    # set lacks e, so a nonempty family never becomes empty
+    assert got
     assert set(got) == _loop_complement_reference(family, a)
     assert list(got) == sorted(set(got), key=family_sort_key)
     assert SetSystem(g, family).loop_complement(a).family == got
@@ -448,6 +451,8 @@ def test_delete_contract_conventions():
     # loop: contract routes to delete
     l = dm("12", [(), "2"])
     assert l.contract(0) == l.delete(0)
+    with pytest.raises(IndexError, match="element index 5 out of range"):
+        d.delete(5)
 
 
 def test_minor_order_independent():

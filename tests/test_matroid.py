@@ -45,8 +45,11 @@ def test_from_bases_validation():
     m = matroid("123", ["12", "13"])
     assert m.rank == 2
     assert m.bases == (0b011, 0b101)
-    with pytest.raises(MatroidError):
+    with pytest.raises(MatroidError, match=r"bases \{1\} and \{1,2\} differ in cardinality"):
         matroid("12", ["1", "12"])
+    # direct construction checks the cardinalities too, with the same message
+    with pytest.raises(MatroidError, match=r"bases \{1\} and \{1,2\} differ in cardinality"):
+        Matroid(numbered_ground(2), (0b01, 0b11))
     with pytest.raises(MatroidError):
         # {1,2} and {3,4} fail base exchange
         matroid("1234", ["12", "34"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmx.core import canonical_sorted, exchange_violation_masks
+from dmx.core import ImproperSystemError, canonical_sorted, exchange_violation_masks
 from dmx.ribbon import BoundaryTrace, RibbonEdge, RibbonGraph
 from dmx.verify import ribbon_corpus
 
@@ -80,6 +80,9 @@ def test_delta_matroid_requires_connected():
     g = RibbonGraph((("1a", "1b"), ()), (edge("1"),))
     with pytest.raises(ValueError):
         g.delta_matroid()
+    # no vertex disc: no spanning subgraph has a boundary
+    with pytest.raises(ImproperSystemError, match="may not be empty"):
+        RibbonGraph((), ()).delta_matroid()
 
 
 def test_orientability():

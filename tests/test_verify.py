@@ -7,6 +7,7 @@ import pytest
 
 from dmx import core, matroid, verify
 from dmx.core import (
+    EVEN,
     ODD,
     DeltaMatroid,
     GroundSet,
@@ -19,7 +20,6 @@ from dmx.core import (
 )
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.matroid import (
-    Matroid,
     is_bipartite_delta,
     is_eulerian_delta,
     lower_matroid,
@@ -346,8 +346,9 @@ def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
 
 
 # The label-set versions of two checks, kept as references for the mask
-# versions in dmx.verify.  They look lower_matroid and fmt_system up on the
-# module, so a mutant patched in there reaches both.
+# versions in dmx.verify.  Their lower matroids, circuits and contractions go
+# through dmx.matroid and dmx.core, so a mutant of lower_bases or minor_masks
+# patched there and into dmx.verify reaches both.
 
 
 def _labeled_family(s):
@@ -355,7 +356,7 @@ def _labeled_family(s):
 
 
 def _qualifying_circuit_reference(d):
-    dmin = verify.lower_matroid(d)
+    dmin = lower_matroid(d)
     for c in dmin.circuits:
         if frozenset(d.ground.labels_of(c)) in _labeled_family(d.restrict(c)):
             return True
@@ -408,28 +409,34 @@ def test_mask_checks_match_label_references():
     assert _violations(_circuit_contraction_reference, matroids) == []
 
 
-def _dual_of_contraction(self, e):
-    # (M / e)* = M* \ e, on the same ground as M / e
-    return self.dual().delete(e)
+def _off_by_one_contraction(family, delete, contract):
+    """Mutant of minor_masks: an off-by-one that contracts the element below
+    the one asked for (element 0 is contracted as asked)."""
+    return minor_masks(family, delete, contract >> 1 or contract)
+
+
+def _patch_off_by_one_contraction(monkeypatch):
+    for module in (core, verify):
+        monkeypatch.setattr(module, "minor_masks", _off_by_one_contraction)
 
 
 @pytest.mark.parametrize(
-    "target, name, mutant, check, reference, corpus, failing",
+    "patch, check, reference, corpus, failing",
     [
-        (verify, "lower_matroid", upper_matroid, "_odd_circuit",
+        (lambda mp: _patch_upper_mutant(mp, matroid, verify), "_odd_circuit",
          _odd_circuit_reference, lambda: binary_delta_corpus_up_to(4), 2140),
-        (Matroid, "contract", _dual_of_contraction, "_circuit_contraction",
-         _circuit_contraction_reference, lambda: binary_matroids_up_to(5), 3311),
+        (_patch_off_by_one_contraction, "_circuit_contraction",
+         _circuit_contraction_reference, lambda: binary_matroids_up_to(5), 889),
     ],
     ids=["odd_circuit", "circuit_contraction"],
 )
 def test_mask_checks_match_label_references_under_mutants(
-    monkeypatch, target, name, mutant, check, reference, corpus, failing
+    monkeypatch, patch, check, reference, corpus, failing
 ):
     """Equal reports where the checks do fail, so the differential above
     cannot hold merely because nothing ever fails."""
-    monkeypatch.setattr(target, name, mutant)
     items = corpus()
+    patch(monkeypatch)
     got = _violations(getattr(verify, check), items)
     assert got == _violations(reference, items)
     assert len(got) == failing
@@ -762,6 +769,70 @@ def test_operation_calculus_matches_object_reference_under_mutants(
         assert got == _violations(_operation_calculus_reference, items)
         counts.append(len(got))
     assert tuple(counts) == failing
+
+
+# The object-level welsh_duality and bipartite_loop_complement, kept as
+# references for the mask versions in dmx.verify.  The dual and the loop
+# complement are SetSystem methods, which look their kernels up in dmx.core,
+# so a mutant patched into dmx.core and dmx.verify reaches both versions.
+
+
+def _welsh_duality_reference(m):
+    v = []
+    eul = m.is_eulerian()
+    if eul != m.dual().is_bipartite():
+        v.append("%s :: eulerian/dual-bipartite mismatch" % verify.fmt_system(m))
+    if eul != bool(m.count_independent_sets() & 1):
+        v.append("%s :: eulerian/independent-count parity mismatch" % verify.fmt_system(m))
+    return v
+
+
+def _bipartite_loop_complement_reference(d):
+    if is_bipartite_delta(d) != (d.loop_complement(d.ground.full_mask).parity() == EVEN):
+        return ["%s :: bipartite/loop-complement parity mismatch" % verify.fmt_system(d)]
+    return []
+
+
+def _untwisted(family, a, n):
+    """Mutant of twist_masks: leaves the family as it is, so the dual of a
+    matroid is the matroid itself."""
+    return tuple(family)
+
+
+_DUAL_AND_LOOP_COMPLEMENT_CASES = [
+    ("_welsh_duality", _welsh_duality_reference, lambda: binary_matroids_up_to(5),
+     "twist_masks", _untwisted, 170),
+    ("_bipartite_loop_complement", _bipartite_loop_complement_reference,
+     lambda: SUITE["bipartite_loop_complement"].corpus(4, 0),
+     "loop_complement_masks", _lowest_only_loop_complement, 58),
+]
+DUAL_AND_LOOP_COMPLEMENT_REFERENCES = pytest.mark.parametrize(
+    "check, reference, corpus, name, mutant, failing",
+    _DUAL_AND_LOOP_COMPLEMENT_CASES,
+    ids=[case[0].lstrip("_") for case in _DUAL_AND_LOOP_COMPLEMENT_CASES],
+)
+
+
+@DUAL_AND_LOOP_COMPLEMENT_REFERENCES
+def test_dual_and_loop_complement_checks_match_object_references(
+    check, reference, corpus, name, mutant, failing
+):
+    items = corpus()
+    assert _violations(getattr(verify, check), items) == _violations(reference, items) == []
+
+
+@DUAL_AND_LOOP_COMPLEMENT_REFERENCES
+def test_dual_and_loop_complement_checks_match_object_references_under_mutants(
+    monkeypatch, check, reference, corpus, name, mutant, failing
+):
+    """A broken kernel in both versions: the same counterexamples, and
+    enough of them that the differential above is not vacuous."""
+    items = corpus()
+    monkeypatch.setattr(core, name, mutant)
+    monkeypatch.setattr(verify, name, mutant)
+    got = _violations(getattr(verify, check), items)
+    assert got == _violations(reference, items)
+    assert len(got) == failing
 
 
 def test_run_suite_rejects_unknown_name():
