@@ -13,13 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import verify
-from .core import (
-    DeltaMatroid,
-    Mask,
-    SetSystem,
-    certify_delta_matroid,
-    validate_delta_matroid,
-)
+from .core import DeltaMatroid, Mask, SetSystem, certify_delta_matroid
 from .formats import (
     MATROID_KIND,
     DmFile,
@@ -35,7 +29,7 @@ from .gf2 import (
     Gf2SymmetricMatrix,
     delta_matroid_from_symmetric,
 )
-from .matroid import Matroid, classify_delta
+from .matroid import certify_matroid, classify_delta
 from .ribbon import RibbonGraph
 
 
@@ -83,15 +77,6 @@ def _read(path: str, *suffixes: str):
     return _on_file(path, lambda: PARSERS[suffix](Path(path).read_text(encoding="utf-8")))
 
 
-def _certify(path: str, parsed: DmFile) -> tuple[DeltaMatroid, Optional[BinaryCertificate]]:
-    """The delta-matroid of a parsed .dm file and its binarity certificate;
-    a `kind: matroid` file is a Matroid, so its bases must be equicardinal."""
-    d, cert = _on_file(path, certify_delta_matroid, parsed.system)
-    if parsed.kind == MATROID_KIND:
-        d = _on_file(path, Matroid._from_canonical, d.ground, d.family)
-    return d, cert
-
-
 def _check_classify_size(path: str, n: int) -> None:
     if n > BINARY_MAX_N:
         raise CliError(
@@ -114,9 +99,21 @@ def _check_lc_size(path: str, d: DeltaMatroid, a: Mask) -> None:
 
 
 # With no vertex disc the quasi-tree family is empty, so a parsed .rg file
-# without one is no ribbon graph: check reports it invalid and every ribbon
-# action refuses it.
+# without one is no ribbon graph.
 NO_VERTEX_REASON = "no vertex disc (no vertex: line), so no spanning subgraph has a boundary"
+
+
+def _valid(parsed) -> tuple[object, Optional[BinaryCertificate]]:
+    """The object of a parsed file and its binarity certificate (None where
+    none is computed), or a ValueError naming why the file is invalid: the
+    one validity rule, which check reports and every other command enforces."""
+    if isinstance(parsed, DmFile):
+        if parsed.kind == MATROID_KIND:
+            return certify_matroid(parsed.system)
+        return certify_delta_matroid(parsed.system)
+    if isinstance(parsed, RibbonGraph) and not parsed.vertices:
+        raise ValueError(NO_VERTEX_REASON)
+    return parsed, None
 
 
 def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
@@ -141,38 +138,28 @@ def cmd_check(args) -> int:
         print("kind: %s" % parsed.kind)
         print("ground: %s" % " ".join(parsed.system.ground.labels))
         print("feasible-sets: %d" % len(parsed.system.family))
-        try:
-            if parsed.kind == MATROID_KIND:
-                Matroid.from_bases(parsed.system)
-            else:
-                validate_delta_matroid(parsed.system)
-        except ValueError as exc:
-            print("valid: no")
-            print("reason: %s" % exc)
-        else:
-            print("valid: yes")
     elif isinstance(parsed, RibbonGraph):
         print("kind: ribbon")
         print("vertices: %d" % len(parsed.vertices))
         print("edges: %d" % len(parsed.edges))
-        if parsed.vertices:
-            print("valid: yes")
-        else:
-            print("valid: no")
-            print("reason: %s" % NO_VERTEX_REASON)
+    elif isinstance(parsed, Gf2SymmetricMatrix):
+        print("kind: gf2sym")
+        print("order: %d" % parsed.order)
     else:
-        if isinstance(parsed, Gf2SymmetricMatrix):
-            print("kind: gf2sym")
-            print("order: %d" % parsed.order)
-        else:
-            print("kind: gf2")
-            print("shape: %d %d" % (len(parsed.rows), parsed.cols))
+        print("kind: gf2")
+        print("shape: %d %d" % (len(parsed.rows), parsed.cols))
+    try:
+        _valid(parsed)
+    except ValueError as exc:
+        print("valid: no")
+        print("reason: %s" % exc)
+    else:
         print("valid: yes")
     return 0
 
 
 def cmd_op(args) -> int:
-    d = _certify(args.file, _read(args.file, ".dm"))[0]
+    d = _on_file(args.file, _valid, _read(args.file, ".dm"))[0]
     if args.operation == "dual":
         if args.set is not None:
             raise CliError("dual takes no --set argument")
@@ -229,7 +216,7 @@ def cmd_classify(args) -> int:
     parsed = _read(path, ".dm", ".gf2")
     if isinstance(parsed, DmFile):
         _check_classify_size(path, parsed.system.ground.size)
-        d, cert = _certify(path, parsed)
+        d, cert = _on_file(path, _valid, parsed)
     elif isinstance(parsed, Gf2SymmetricMatrix):
         _check_classify_size(path, parsed.order)
         # D(A) holds the empty set, so A is its own certificate
@@ -276,9 +263,7 @@ def cmd_verify(args) -> int:
 def cmd_ribbon(args) -> int:
     if args.set is not None and args.action != "petrial":
         raise CliError("ribbon %s takes no --set argument" % args.action)
-    graph = _read(args.file, ".rg")
-    if not graph.vertices:
-        raise CliError("%s: delta-matroid family may not be empty" % args.file)
+    graph = _on_file(args.file, _valid, _read(args.file, ".rg"))[0]
     if args.action == "classify":
         print("connected: %s" % ("yes" if graph.is_connected() else "no"))
         print("orientable: %s" % ("yes" if graph.is_orientable() else "no"))

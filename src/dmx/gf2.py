@@ -10,6 +10,7 @@ from .core import (
     RANK_TABLE_MAX_N,
     DeltaMatroid,
     GroundSet,
+    ImproperSystemError,
     Mask,
     SetSystem,
     code_masks,
@@ -228,6 +229,8 @@ def is_binary(d: SetSystem) -> BinaryCertificate:
     one element at a time, A is forced by its bits, and d is binary iff the
     code of D(A) equals the twisted code.
     """
+    if not d.family:
+        raise ImproperSystemError("binarity of an empty family is undefined")
     n = d.ground.size
     if n > BINARY_MAX_N:
         raise ValueError("binarity test is limited to ground size %d" % BINARY_MAX_N)

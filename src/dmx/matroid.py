@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     DeltaMatroid,
@@ -22,11 +22,14 @@ from .core import (
     SetSystem,
     SymmetricExchangeError,
     canonical_masks,
+    certify_delta_matroid,
     code_masks,
     layer_codes,
     mask_of,
-    validate_delta_matroid,
 )
+
+if TYPE_CHECKING:
+    from .gf2 import BinaryCertificate
 
 # Distinct matroids kept by the classification cache; a verify run at
 # --max-n 5 meets under 500 of them.
@@ -66,19 +69,7 @@ class Matroid(DeltaMatroid):
 
     @classmethod
     def from_bases(cls, system: SetSystem) -> "Matroid":
-        if not system.family:
-            raise ImproperSystemError("a matroid needs at least one base")
-        # construction checks that the bases are equicardinal
-        m = cls._from_canonical(system.ground, system.family)
-        try:
-            validate_delta_matroid(system)
-        except SymmetricExchangeError as exc:
-            x, y, u = exc.witness
-            raise MatroidError(
-                "base exchange fails at B1=%s, B2=%s, u=%s"
-                % (system.render_set(x), system.render_set(y), system.ground.labels[u])
-            ) from None
-        return m
+        return certify_matroid(system)[0]
 
     # -- independence ----------------------------------------------------------
 
@@ -118,6 +109,25 @@ class Matroid(DeltaMatroid):
 
     def is_eulerian(self) -> bool:
         return self.eulerian_partition() is not None
+
+
+def certify_matroid(system: SetSystem) -> tuple[Matroid, Optional[BinaryCertificate]]:
+    """Matroid.from_bases, also returning the binarity certificate of
+    certify_delta_matroid.  Checks at least one base, then bases of one
+    size, then the certificate or the exchange scan."""
+    if not system.family:
+        raise ImproperSystemError("a matroid needs at least one base")
+    # construction checks that the bases are equicardinal
+    m = Matroid._from_canonical(system.ground, system.family)
+    try:
+        cert = certify_delta_matroid(system)[1]
+    except SymmetricExchangeError as exc:
+        x, y, u = exc.witness
+        raise MatroidError(
+            "base exchange fails at B1=%s, B2=%s, u=%s"
+            % (system.render_set(x), system.render_set(y), system.ground.labels[u])
+        ) from None
+    return m, cert
 
 
 def _independent_sets(bases: tuple[Mask, ...]) -> set[Mask]:
@@ -227,11 +237,15 @@ def classify_code(n: int, code: int) -> ClassificationReport:
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the minimum-cardinality feasible sets."""
+    if not d.family:
+        raise ImproperSystemError("the lower matroid of an empty family is undefined")
     return Matroid._from_canonical(d.ground, lower_bases(d.family))
 
 
 def upper_matroid(d: DeltaMatroid) -> Matroid:
     """Bases are the maximum-cardinality feasible sets."""
+    if not d.family:
+        raise ImproperSystemError("the upper matroid of an empty family is undefined")
     return Matroid._from_canonical(d.ground, upper_bases(d.family))
 
 

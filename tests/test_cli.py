@@ -2,6 +2,7 @@ import dataclasses
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -356,7 +357,7 @@ GOLDEN = {
         "reason: base exchange fails at B1={a,b}, B2={c,d}, u=a\n",
         2,
         "",
-        "error: {}: symmetric exchange fails at X={a,b}, Y={c,d}, u=a\n",
+        "error: {}: base exchange fails at B1={a,b}, B2={c,d}, u=a\n",
     ),
 }
 
@@ -534,7 +535,7 @@ def test_ribbon_to_dm_without_edges(tmp_path):
     assert run("ribbon", "to-dm", str(p)) == (
         2,
         "",
-        "error: %s: delta-matroid family may not be empty\n" % p,
+        "error: %s: %s\n" % (p, cli.NO_VERTEX_REASON),
     )
 
 
@@ -547,7 +548,7 @@ def test_ribbon_without_vertex_is_rejected(tmp_path, argv):
     assert run("ribbon", *argv, str(p)) == (
         2,
         "",
-        "error: %s: delta-matroid family may not be empty\n" % p,
+        "error: %s: %s\n" % (p, cli.NO_VERTEX_REASON),
     )
     # one bare vertex disc is a ribbon graph
     p.write_text("vertex:\n")
@@ -568,6 +569,35 @@ def test_check_ribbon_without_vertex_is_invalid(tmp_path):
     assert "vertex disc" in cli.NO_VERTEX_REASON
     p.write_text("vertex:\n")
     assert run("check", str(p)) == (0, "kind: ribbon\nvertices: 1\nedges: 0\nvalid: yes\n", "")
+
+
+# invalid files, one per reason: check reports each as valid: no, and every
+# other command that reads the file exits 2 with the same reason
+INVALID = {
+    "bad-exchange-matroid.dm": "kind: matroid\nground: a b c d\nfeasible: {a,b}\n"
+    "feasible: {c,d}\n",
+    "no-base-matroid.dm": "kind: matroid\nground: a b\n",
+    "unequal-matroid.dm": "kind: matroid\nground: 1 2\nfeasible: {}\nfeasible: {1,2}\n",
+    "no-feasible.dm": "ground: a b\n",
+    "bad-exchange.dm": BAD_AXIOM,
+    "no-vertex.rg": "# no vertex line\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_check_reason_is_every_commands_error(tmp_path, name):
+    p = tmp_path / name
+    p.write_text(INVALID[name])
+    code, out, err = run("check", str(p))
+    assert code == 0 and err == "" and "\nvalid: no\n" in out
+    reason = out.split("\nreason: ", 1)[1]
+    if name.endswith(".rg"):
+        commands = [("ribbon", "classify"), ("ribbon", "petrial"), ("ribbon", "to-dm")]
+    else:
+        first = INVALID[name].split("ground: ", 1)[1].split()[0]
+        commands = [("classify",), ("op", "dual"), ("op", "twist", "--set", first)]
+    for argv in commands:
+        assert run(*argv, str(p)) == (2, "", "error: %s: %s" % (p, reason)), argv
 
 
 def test_bad_arguments_exit_2():
@@ -614,3 +644,15 @@ def test_ribbon_to_dm_rejects_more_than_16_edges(tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "limited to 16 edges" in err and "Traceback" not in err
+
+
+def test_readme_command_line_example(tmp_path):
+    """The Command line example of README.md, run as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("$ printf '", 1)[1].splitlines()
+    text, name = lines[0].rsplit("' > ", 1)
+    assert lines[1] == "$ dmx classify %s" % name
+    expected = lines[2 : lines.index("```")]
+    p = tmp_path / name
+    p.write_text(text.encode().decode("unicode_escape"))
+    assert run("classify", str(p)) == (0, "".join(line + "\n" for line in expected), "")

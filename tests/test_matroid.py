@@ -4,7 +4,9 @@ import pytest
 
 from dmx.core import (
     DeltaMatroid,
+    ImproperSystemError,
     SetSystem,
+    certify_delta_matroid,
     code_masks,
     mask_of,
     numbered_ground,
@@ -12,9 +14,11 @@ from dmx.core import (
     twist_codes,
     twist_masks,
 )
+from dmx.gf2 import is_binary
 from dmx.matroid import (
     Matroid,
     MatroidError,
+    certify_matroid,
     classify_code,
     classify_delta,
     classify_family,
@@ -272,3 +276,19 @@ def test_code_kernels_match_masks_on_random_delta_matroids():
 def test_lower_code_of_empty_code_is_an_error():
     with pytest.raises(ValueError, match="empty family"):
         lower_code(0, 3)
+
+
+@pytest.mark.parametrize("fn", [is_binary, lower_matroid, upper_matroid])
+def test_object_level_functions_reject_an_empty_family(fn):
+    with pytest.raises(ImproperSystemError, match="empty family"):
+        fn(SetSystem(numbered_ground(2), ()))
+
+
+def test_certify_matroid_returns_the_delta_matroid_certificate():
+    for m in binary_matroids_up_to(3):
+        got, cert = certify_matroid(m)
+        assert type(got) is Matroid and got == m
+        assert cert == certify_delta_matroid(m)[1]
+    # a rank-1 matroid on 13 elements is past the certificate's limit
+    m, cert = certify_matroid(SetSystem(numbered_ground(13), tuple(1 << i for i in range(13))))
+    assert m.rank == 1 and cert is None
