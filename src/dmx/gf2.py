@@ -79,12 +79,11 @@ def nonsingular_code(rows: tuple[int, ...]) -> int:
     for the symmetric matrix A with these rows (A[empty] is nonsingular).
 
     One recursion on the highest element h, with b its column below h.  The
-    sets without h are D(A[V-h]).  If a_hh = 1, A[x+h] is nonsingular iff the
-    Schur complement (A + b b^T)[x] is.  If a_hh = 0 and b has a lowest
-    element k, the principal pivot on {h, k} gives D(A*{h,k}) = D(A) XOR
-    {h, k} (Tucker 1960; Bouchet, "Representability of delta-matroids",
-    1988), so x+h is feasible iff x XOR {k} is in D((A*{h,k})[V-h]).  If
-    a_hh = 0 and b = 0, no feasible set holds h.
+    sets without h are D(A[V-h]).  Over GF(2), det A[x+h] = a_hh det A[x] +
+    b_x^T adj(A[x]) b_x is linear in a_hh with coefficient det A[x], and at
+    a_hh = 1 it is the Schur complement det (A[V-h] + b b^T)[x].  So with S
+    the code of A[V-h] + b b^T, the sets with h are S when a_hh = 1 and
+    S XOR D(A[V-h]) when a_hh = 0; with b = 0 that is no set.
     """
     n = len(rows)
     if n <= _MEMO_ORDER:
@@ -99,34 +98,10 @@ def nonsingular_code(rows: tuple[int, ...]) -> int:
     b = top & low
     sub = tuple(r & low for r in rows[:h])
     code = nonsingular_code(sub)
-    if top >> h & 1:
-        with_h = nonsingular_code(tuple(r ^ b if b >> i & 1 else r for i, r in enumerate(sub)))
-    elif b:
-        # A*{h,k} on V-h, with R = V-{h,k}, u = row k on R, w = b on R: row
-        # i of R is r_i + u_i w + w_i u + a_kk w_i w with w_i in column k,
-        # and row k is w with a zero diagonal
-        kb = b & -b
-        k = kb.bit_length() - 1
-        w = b ^ kb
-        u = sub[k] & ~kb
-        uw = (u ^ w if sub[k] & kb else u) | kb
-        pivoted = []
-        for i, r in enumerate(sub):
-            if i == k:
-                pivoted.append(w)
-                continue
-            r &= ~kb
-            if u >> i & 1:
-                r ^= w
-            if w >> i & 1:
-                r ^= uw
-            pivoted.append(r)
-        c = nonsingular_code(tuple(pivoted))
-        # the sets with h are the sets y XOR {k} for y in that code
-        with_h = twist_code(c, k, h)
-    else:
-        with_h = 0
-    code |= with_h << (1 << h)
+    schur = code
+    if b:
+        schur = nonsingular_code(tuple(r ^ b if b >> i & 1 else r for i, r in enumerate(sub)))
+    code |= (schur if top >> h & 1 else schur ^ code) << (1 << h)
     if n <= _MEMO_ORDER:
         _small_codes[rows] = code
     return code

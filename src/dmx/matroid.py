@@ -200,6 +200,8 @@ def _classification(n: int, bases: int) -> ClassificationReport:
 
 
 def classify_matroid(m: Matroid) -> ClassificationReport:
+    if not m.family:
+        raise ImproperSystemError("the circuits of an empty family are undefined")
     return _classification(m.ground.size, mask_of(m.family))
 
 
@@ -251,6 +253,8 @@ def upper_matroid(d: DeltaMatroid) -> Matroid:
 
 def classify_delta(d: DeltaMatroid) -> ClassificationReport:
     """A delta-matroid is bipartite/Eulerian when its lower matroid is."""
+    if not d.family:
+        raise ImproperSystemError("the classification of an empty family is undefined")
     return classify_family(d.ground.size, d.family)
 
 

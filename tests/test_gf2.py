@@ -164,14 +164,17 @@ def test_principal_nonsingular_matches_compacted_submatrix():
 
 
 def test_nonsingular_code_matches_reference_on_small_orders():
-    for k in range(5):
+    """Every matrix of order <= 5; order 5 is the first the memo does not
+    hold, so the top step runs for every a_hh and b."""
+    for k in range(6):
         for a in all_symmetric_matrices(k):
             assert nonsingular_code(a.rows) == _reference_code(a), a
 
 
 def test_nonsingular_code_matches_reference_on_random_matrices():
     """Seeded matrices of orders 5..12, with a zero and with a random diagonal:
-    a zero diagonal sends every set with the top element through the pivot."""
+    a zero diagonal reads every set with the top element off the cofactor
+    identity, as the Schur-complement code XOR the code without it."""
     rng = random.Random("dmx-nonsingular-code")
     for n in range(5, 13):
         for _ in range(6):

@@ -278,7 +278,18 @@ def test_lower_code_of_empty_code_is_an_error():
         lower_code(0, 3)
 
 
-@pytest.mark.parametrize("fn", [is_binary, lower_matroid, upper_matroid])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        is_binary,
+        lower_matroid,
+        upper_matroid,
+        classify_delta,
+        classify_matroid,
+        is_bipartite_delta,
+        is_eulerian_delta,
+    ],
+)
 def test_object_level_functions_reject_an_empty_family(fn):
     with pytest.raises(ImproperSystemError, match="empty family"):
         fn(SetSystem(numbered_ground(2), ()))

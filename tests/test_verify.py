@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import logging
 import random
@@ -15,6 +16,7 @@ from dmx.core import (
     exchange_violation_masks,
     layer_codes,
     loop_complement_masks,
+    mask_of,
     minor_masks,
     numbered_ground,
 )
@@ -63,6 +65,43 @@ def test_exhaustive_counts():
     # themselves are compared with the brute-force reference below
     assert [len(delta_matroids_exact(n)) for n in range(4)] == [1, 3, 15, 155]
     assert len(delta_matroids_up_to(2)) == 1 + 3 + 15
+
+
+def _corpus_digest(corpus):
+    """sha256 over one line "<ground size> <family code in hex>" per
+    instance, in corpus order: it pins the members and their order, not only
+    their number."""
+    h = hashlib.sha256()
+    for d in corpus:
+        h.update(b"%d %x\n" % (d.ground.size, mask_of(d.family)))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "corpus, count, digest",
+    [
+        (
+            lambda: delta_matroids_up_to(4),
+            6133,
+            "16d53bbcd05406b3811cf92552553c8e7d41867944cb287135d6ceddcf93d592",
+        ),
+        (
+            lambda: binary_delta_corpus_up_to(4),
+            2449,
+            "6c6f1bda02046dcb38b2114b10fd85eb3f688517b907ffa61c2b5cd65ce65d48",
+        ),
+        (
+            lambda: binary_matroids_up_to(5),
+            465,
+            "ff1c88a5a7d2ed5f814579b06aefc385242be14ae4782700f526948b02c96870",
+        ),
+    ],
+    ids=["delta_matroids_up_to_4", "binary_delta_corpus_up_to_4", "binary_matroids_up_to_5"],
+)
+def test_corpus_members_are_pinned(corpus, count, digest):
+    instances = corpus()
+    assert len(instances) == count
+    assert _corpus_digest(instances) == digest
 
 
 def test_extension_corpus_matches_brute_force():
