@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
@@ -21,18 +22,20 @@ from .core import (
     Mask,
     SetSystem,
     SymmetricExchangeError,
+    bit_clear_codes,
     canonical_masks,
     certify_delta_matroid,
     code_masks,
     layer_codes,
     mask_of,
+    twist_codes,
 )
 
 if TYPE_CHECKING:
     from .gf2 import BinaryCertificate
 
-# Distinct matroids kept by the classification cache; a verify run at
-# --max-n 5 meets under 500 of them.
+# Entries kept by each cache below; a verify run at --max-n 5 meets under
+# 500 matroids and restriction codes, and under 1,000 twist tables.
 CLASSIFICATION_CACHE_SIZE = 2048
 
 
@@ -235,6 +238,38 @@ def classify_family(n: int, family: tuple[Mask, ...]) -> ClassificationReport:
 def classify_code(n: int, code: int) -> ClassificationReport:
     """classify_family of the family with this code."""
     return _classification(n, lower_code(code, n))
+
+
+@lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
+def classify_twists(n: int, code: int) -> tuple[ClassificationReport, ...]:
+    """classify_code of the family with this code twisted by every a < 2^n,
+    indexed by a.  A twist D*b has the same table read at a XOR b, so the
+    twists of one family can share the table of their least code."""
+    return tuple(classify_code(n, c) for c in twist_codes(code, n))
+
+
+@lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
+def restriction_codes(n: int, circuits: tuple[Mask, ...]) -> tuple[int, int]:
+    """Two 2^n-bit codes over the subsets A of the ground of a matroid M on
+    n elements with these circuits: the A that hold an odd circuit, and the
+    A that are disjoint unions of circuits.  The circuits of M|A are those
+    of M inside A (Oxley, Matroid Theory, 3.1), so M|A is bipartite iff bit
+    A of the first code is clear, and Eulerian iff bit A of the second is set."""
+    keeps = bit_clear_codes(n)
+    odd = mask_of(c for c in circuits if c.bit_count() & 1)
+    for e, keep in enumerate(keeps):
+        odd |= (odd & keep) << (1 << e)
+    # a circuit c joins the sets s disjoint from it: bit s moves to s + c
+    joins = [(c, reduce(and_, [k for e, k in enumerate(keeps) if c >> e & 1])) for c in circuits]
+    # the unions of k + 1 circuits grow from those of k, starting at {}
+    unions = last = 1
+    while last:
+        grown = 0
+        for c, free in joins:
+            grown |= (last & free) << c
+        last = grown & ~unions
+        unions |= last
+    return odd, unions
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:

@@ -13,6 +13,7 @@ from dmx.core import (
     SymmetricExchangeError,
     canonical_masks,
     canonical_table,
+    code_masks,
     exchange_violation_masks,
     family_sort_key,
     indices_of,
@@ -257,21 +258,23 @@ def _every_small_nonempty_system():
 
 
 def _extension_survivors():
-    """The 6,239 candidates that delta_matroids_exact(4) hands to the
-    exchange scan, recorded by running it uncached with a recording scan."""
+    """The 6,239 candidates that delta_matroids_exact(4) hands to its
+    complementary-pair test, recorded by running it uncached with a
+    recording test."""
     verify.delta_matroids_exact(3)  # cached, so only n = 4 is recorded
+    test = verify.complementary_exchange_holds
     seen = []
 
-    def record(fam):
-        seen.append(fam)
-        return exchange_violation_masks(fam)
+    def record(code, n):
+        seen.append(code)
+        return test(code, n)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "exchange_violation_masks", record)
+        patch.setattr(verify, "complementary_exchange_holds", record)
         kept = verify.delta_matroids_exact.__wrapped__(4)
-    # the survivors the scan accepts are DM(4)
+    # the survivors the test accepts are DM(4)
     assert [d.family for d in kept] == [d.family for d in verify.delta_matroids_exact(4)]
-    return [SetSystem(numbered_ground(4), fam) for fam in seen]
+    return [SetSystem(numbered_ground(4), code_masks(code, 4)) for code in seen]
 
 
 def _seeded_binary_twists():
@@ -314,6 +317,32 @@ def test_certificate_first_validation_matches_scan_on_exhaustive_corpora():
     assert (len(survivors), len(invalid)) == (6239, 280)
     binary = [SetSystem(d.ground, d.family) for d in verify.binary_delta_corpus_up_to(4)]
     assert _validation_mismatches(survivors + binary, exchange_violation_masks) == []
+
+
+def test_complementary_pair_test_matches_the_scan_on_split_survivors():
+    survivors = _extension_survivors()
+    verdicts = [
+        verify.complementary_exchange_holds(mask_of(s.family), 4) for s in survivors
+    ]
+    assert verdicts == [exchange_violation_masks(s.family) is None for s in survivors]
+    assert (len(verdicts), verdicts.count(False)) == (6239, 280)
+    # every nonempty family on at most two elements is a delta-matroid, so
+    # for n <= 3 every nonempty family survives its splits
+    assert len(verify.delta_matroids_exact(2)) == 15
+    for n in range(1, 4):
+        codes = range(1, 1 << (1 << n))
+        assert [verify.complementary_exchange_holds(c, n) for c in codes] == [
+            exchange_violation_masks(code_masks(c, n)) is None for c in codes
+        ]
+
+
+def test_complementary_pair_test_is_not_a_general_exchange_test():
+    # {{3}, {1,2}} on four elements holds no complementary pair, yet X = {3},
+    # Y = {1,2} violates the axiom at u = 1; its sets without 4 are the same
+    # family on three elements, which is no delta-matroid
+    fam = (0b0100, 0b0011)
+    assert verify.complementary_exchange_holds(mask_of(fam), 4)
+    assert exchange_violation_masks(fam) == (0b0100, 0b0011, 0)
 
 
 def test_certificate_first_validation_matches_scan_on_seeded_twists(monkeypatch):

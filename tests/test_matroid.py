@@ -23,6 +23,7 @@ from dmx.matroid import (
     classify_delta,
     classify_family,
     classify_matroid,
+    classify_twists,
     is_bipartite_delta,
     is_eulerian_delta,
     lower_bases,
@@ -271,6 +272,16 @@ def test_code_kernels_match_masks_on_exhaustive_delta_matroids():
 def test_code_kernels_match_masks_on_random_delta_matroids():
     for d in random_delta_matroids(8, 17, 30):
         _assert_code_kernels_match_masks(8, d.family)
+
+
+def test_twist_tables_match_classified_twists():
+    """classify_twists(n, code)[a] against the classification of the twisted
+    family, for every a, on DM(<= 3) and every binary matroid on <= 5
+    elements."""
+    for d in delta_matroids_up_to(3) + binary_matroids_up_to(5):
+        n = d.ground.size
+        table = classify_twists(n, mask_of(d.family))
+        assert table == tuple(classify_family(n, twist_masks(d.family, a, n)) for a in range(1 << n))
 
 
 def test_lower_code_of_empty_code_is_an_error():

@@ -19,12 +19,15 @@ from dmx.core import (
     mask_of,
     minor_masks,
     numbered_ground,
+    twist_masks,
 )
 from dmx.gf2 import delta_matroid_from_symmetric
 from dmx.matroid import (
+    classify_family,
     is_bipartite_delta,
     is_eulerian_delta,
     lower_matroid,
+    restriction_codes,
     upper_matroid,
 )
 from dmx.ribbon import RibbonGraph
@@ -95,8 +98,18 @@ def _corpus_digest(corpus):
             465,
             "ff1c88a5a7d2ed5f814579b06aefc385242be14ae4782700f526948b02c96870",
         ),
+        (
+            lambda: binary_matroids_up_to(6),
+            3290,
+            "2e4935619e4d69e322564e495833f5c4d6c1f120c4b9eb75f243f7282630e807",
+        ),
     ],
-    ids=["delta_matroids_up_to_4", "binary_delta_corpus_up_to_4", "binary_matroids_up_to_5"],
+    ids=[
+        "delta_matroids_up_to_4",
+        "binary_delta_corpus_up_to_4",
+        "binary_matroids_up_to_5",
+        "binary_matroids_up_to_6",
+    ],
 )
 def test_corpus_members_are_pinned(corpus, count, digest):
     instances = corpus()
@@ -367,10 +380,17 @@ def _upper_layer(code, n):
 
 
 def _patch_upper_mutant(monkeypatch, *modules):
-    """Swap lower bases for upper ones in both reads, masks and codes."""
+    """Swap lower bases for upper ones in both reads, masks and codes.  The
+    twist tables are cached above lower_code, so the test gets a fresh
+    cache: no table built under one rule is read under the other."""
     for module in modules:
         monkeypatch.setattr(module, "lower_bases", _upper_bases)
         monkeypatch.setattr(module, "lower_code", _upper_layer)
+    fresh = functools.lru_cache(maxsize=matroid.CLASSIFICATION_CACHE_SIZE)(
+        matroid.classify_twists.__wrapped__
+    )
+    for module in (matroid, verify):
+        monkeypatch.setattr(module, "classify_twists", fresh)
 
 
 def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
@@ -638,15 +658,60 @@ def test_mask_checks_match_object_references(check, reference, corpus, sample, f
     assert _violations(getattr(verify, check), items) == _violations(reference, items) == []
 
 
-def test_twist_decomposition_matches_object_reference_on_six_elements():
+def _six_element_twist_pairs():
     """A seeded sample of the 2,825 * 2^6 twist pairs of binary matroids on
     6 elements, beyond the corpus the suite checks."""
     ms = binary_matroids_exact(6)
     assert len(ms) == 2825
     picks = sorted(random.Random(6).sample(range(len(ms) << 6), 2000))
-    pairs = [(ms[i >> 6], i & 63) for i in picks]
+    return [(ms[i >> 6], i & 63) for i in picks]
+
+
+def test_twist_decomposition_matches_object_reference_on_six_elements():
+    pairs = _six_element_twist_pairs()
     got = _violations(verify._twist_decomposition, pairs)
     assert got == _violations(_twist_decomposition_reference, pairs) == []
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        ("_characterization", _characterization_reference),
+        ("_bipartite_dual_eulerian", _bipartite_dual_eulerian_reference),
+    ],
+    ids=["characterization", "bipartite_dual_eulerian"],
+)
+def test_twist_table_checks_match_object_references_on_six_elements(check, reference):
+    pairs = _six_element_twist_pairs()
+    assert _violations(getattr(verify, check), pairs) == _violations(reference, pairs) == []
+
+
+def test_contraction_codes_match_minor_classification():
+    """The bipartite class of D / A read off the code against the
+    classification of minor_masks(F, {}, A), for every A, on DM(<= 4) and on
+    seeded random delta-matroids on 8 elements."""
+    for d in delta_matroids_up_to(4) + random_delta_matroids(8, 29, 20):
+        n = d.ground.size
+        code = mask_of(d.family)
+        for a in range(1 << n):
+            contracted = classify_family(n - a.bit_count(), minor_masks(d.family, 0, a))
+            assert verify._contraction_is_bipartite(code, a, n) == contracted.bipartite
+
+
+def test_restriction_codes_match_minor_classification():
+    """Bit A of the restriction codes of M and of M* against the classes of
+    M \\ A^c and M* \\ A, built as minors, on all 13,193 twist pairs."""
+    pairs = matroid_twist_pairs(5)
+    assert len(pairs) == 13193
+    for m, a in pairs:
+        n = m.ground.size
+        full = (1 << n) - 1
+        dual = twist_masks(m.family, full, n)
+        for fam, deleted, kept in ((m.family, full ^ a, a), (dual, a, full ^ a)):
+            odd, unions = restriction_codes(n, classify_family(n, fam).circuits)
+            restricted = classify_family(kept.bit_count(), minor_masks(fam, deleted, 0))
+            assert restricted.bipartite == (not odd >> kept & 1)
+            assert restricted.eulerian == bool(unions >> kept & 1)
 
 
 @OBJECT_REFERENCES
