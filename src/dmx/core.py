@@ -129,6 +129,16 @@ def twist_code(code: int, e: int, n: int) -> int:
     return (code & keep) << shift | (code >> shift) & keep
 
 
+def closure_code(code: int, n: int, up: bool) -> int:
+    """The code of the sets above (up) or below some set of a code on n
+    elements: per element e, one butterfly of twist_code that adds x + e
+    for every set x without e (or x - e for every set x with e)."""
+    for e, keep in enumerate(bit_clear_codes(n)):
+        shift = 1 << e
+        code |= (code & keep) << shift if up else (code >> shift) & keep
+    return code
+
+
 def twist_codes(code: int, n: int) -> list[int]:
     """The codes of the family twisted by every a < 2^n, indexed by a.
 

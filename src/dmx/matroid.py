@@ -2,10 +2,10 @@
 Eulerian/bipartite classification (lifted to delta-matroids through the lower
 matroid).
 
-Circuits, the first odd circuit and the Eulerian partition depend only on the
-ground size and the bases, so they are computed once per (n, base code) key,
-the code with bit B set for each base B, in a bounded module-level cache,
-whatever the labels.
+Circuits, the first odd circuit, the Eulerian partition and the restriction
+codes depend only on the ground size and the bases, so they are computed
+once per (n, base code) key, the code with bit B set for each base B, in a
+bounded module-level cache, whatever the labels.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .core import (
     SetSystem,
     SymmetricExchangeError,
     bit_clear_codes,
-    canonical_masks,
     certify_delta_matroid,
+    closure_code,
     code_masks,
     layer_codes,
     mask_of,
@@ -34,8 +34,10 @@ from .core import (
 if TYPE_CHECKING:
     from .gf2 import BinaryCertificate
 
-# Entries kept by each cache below; a verify run at --max-n 5 meets under
-# 500 matroids and restriction codes, and under 1,000 twist tables.
+# Entries kept by each cache below.  `dmx verify --suite all --max-n 5
+# --seed 3` classifies 466 matroids and builds 980 twist tables, so nothing
+# is evicted; the 2,825 binary matroids on 6 elements that --max-n 6 would
+# reach overflow this bound.
 CLASSIFICATION_CACHE_SIZE = 2048
 
 
@@ -145,61 +147,69 @@ def _independent_sets(bases: tuple[Mask, ...]) -> set[Mask]:
     return ind
 
 
-def _exact_cover(full: Mask, circuits: tuple[Mask, ...]) -> Optional[tuple[Mask, ...]]:
-    """Backtracking on the lowest uncovered element; circuits are tried in
-    canonical order, so the first partition found is deterministic."""
-
-    def bt(uncovered: Mask, acc: list[Mask]) -> Optional[tuple[Mask, ...]]:
-        if not uncovered:
-            return tuple(acc)
-        low = uncovered & -uncovered
-        for c in circuits:
-            if c & low and not c & ~uncovered:
-                acc.append(c)
-                got = bt(uncovered ^ c, acc)
-                if got is not None:
-                    return got
-                acc.pop()
-        return None
-
-    return bt(full, [])
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The circuits of a matroid M on n elements in canonical order, its
+    classes, and two 2^n-bit codes over the subsets A of the ground: A holds
+    an odd circuit (odd_holders), and A is a disjoint union of circuits
+    (circuit_unions).  The circuits of M|A are those of M inside A (Oxley,
+    Matroid Theory, 3.1), so the codes' bit A says whether M|A is bipartite
+    (clear) and Eulerian (set)."""
+
     circuits: tuple[Mask, ...]
     bipartite: bool
     eulerian: bool
     eulerian_partition: Optional[tuple[Mask, ...]]
     odd_circuit_witness: Optional[Mask]
+    odd_holders: int
+    circuit_unions: int
 
 
 @lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
 def _classification(n: int, bases: int) -> ClassificationReport:
-    """Circuits, first odd circuit and Eulerian partition of the matroid on
-    n elements whose bases have the indicator code `bases`.
+    """The record of the matroid on n elements with this base code, on codes.
 
-    A dependent set is a circuit iff removing any one element leaves it
-    independent, so one scan of the subsets in canonical order finds the
-    circuits in canonical order.
+    The independent sets are the down-closure of the bases, and a dependent
+    set is a circuit iff each one-element deletion is independent.  The
+    Eulerian partition takes, at the lowest uncovered element, the first
+    circuit in canonical order whose removal leaves a member of
+    circuit_unions.  Backtracking over the circuits in that order succeeds
+    on a branch iff what it leaves is such a member, so it finds this same
+    partition first.
     """
-    ind = _independent_sets(code_masks(bases, n))
-    circuits = []
-    for m in canonical_masks(n):
-        if m in ind:
-            continue
-        rest = m
-        while rest:
-            low = rest & -rest
-            if m ^ low not in ind:
-                break
-            rest ^= low
-        else:
-            circuits.append(m)
-    circ = tuple(circuits)
-    odd = next((c for c in circ if c.bit_count() & 1), None)
-    partition = _exact_cover((1 << n) - 1, circ)
-    return ClassificationReport(circ, odd is None, partition is not None, partition, odd)
+    keeps = bit_clear_codes(n)
+    ind = closure_code(bases, n, up=False)
+    circ = ((1 << (1 << n)) - 1) ^ ind
+    for e, keep in enumerate(keeps):
+        circ &= keep | (ind & keep) << (1 << e)
+    circuits = code_masks(circ, n)
+    odd = [c for c in circuits if c.bit_count() & 1]
+    # a circuit c joins the sets s disjoint from it: bit s moves to s + c
+    joins = [(c, reduce(and_, [k for e, k in enumerate(keeps) if c >> e & 1])) for c in circuits]
+    # the unions of k + 1 circuits grow from those of k, starting at {}
+    unions = last = 1
+    while last:
+        grown = 0
+        for c, free in joins:
+            grown |= (last & free) << c
+        last = grown & ~unions
+        unions |= last
+    parts, rest = [], (1 << n) - 1
+    eulerian = bool(unions >> rest & 1)
+    while eulerian and rest:
+        low = rest & -rest
+        c = next(c for c in circuits if c & low and not c & ~rest and unions >> (rest ^ c) & 1)
+        parts.append(c)
+        rest ^= c
+    return ClassificationReport(
+        circuits,
+        not odd,
+        eulerian,
+        tuple(parts) if eulerian else None,
+        odd[0] if odd else None,
+        closure_code(mask_of(odd), n, up=True),
+        unions,
+    )
 
 
 def classify_matroid(m: Matroid) -> ClassificationReport:
@@ -246,30 +256,6 @@ def classify_twists(n: int, code: int) -> tuple[ClassificationReport, ...]:
     indexed by a.  A twist D*b has the same table read at a XOR b, so the
     twists of one family can share the table of their least code."""
     return tuple(classify_code(n, c) for c in twist_codes(code, n))
-
-
-@lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
-def restriction_codes(n: int, circuits: tuple[Mask, ...]) -> tuple[int, int]:
-    """Two 2^n-bit codes over the subsets A of the ground of a matroid M on
-    n elements with these circuits: the A that hold an odd circuit, and the
-    A that are disjoint unions of circuits.  The circuits of M|A are those
-    of M inside A (Oxley, Matroid Theory, 3.1), so M|A is bipartite iff bit
-    A of the first code is clear, and Eulerian iff bit A of the second is set."""
-    keeps = bit_clear_codes(n)
-    odd = mask_of(c for c in circuits if c.bit_count() & 1)
-    for e, keep in enumerate(keeps):
-        odd |= (odd & keep) << (1 << e)
-    # a circuit c joins the sets s disjoint from it: bit s moves to s + c
-    joins = [(c, reduce(and_, [k for e, k in enumerate(keeps) if c >> e & 1])) for c in circuits]
-    # the unions of k + 1 circuits grow from those of k, starting at {}
-    unions = last = 1
-    while last:
-        grown = 0
-        for c, free in joins:
-            grown |= (last & free) << c
-        last = grown & ~unions
-        unions |= last
-    return odd, unions
 
 
 def lower_matroid(d: DeltaMatroid) -> Matroid:

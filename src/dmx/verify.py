@@ -31,6 +31,7 @@ from .core import (
     SetSystem,
     bit_clear_codes,
     canonical_masks,
+    closure_code,
     code_masks,
     exchange_violation_masks,
     iter_bits,
@@ -60,7 +61,6 @@ from .matroid import (
     lower_bases,
     lower_code,
     lower_matroid,
-    restriction_codes,
     upper_bases,
 )
 from .ribbon import RibbonEdge, RibbonGraph
@@ -497,11 +497,11 @@ def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask
     every lower-matroid base does.
 
     A feasible set F that holds a base B meets every A in at least |B & A|
-    elements, so no A fails when every F holds a base; when some F holds
-    none, A = E - F fails.  Only then are the A compared one by one."""
+    elements, so no A fails when every F lies in the up-closure of the bases;
+    when some F holds none, A = E - F fails.  Only then are the A compared."""
     fam = d.family
     bases = lower_bases(fam)
-    if all(any(not b & ~f for b in bases) for f in fam):
+    if not mask_of(fam) & ~closure_code(mask_of(bases), d.ground.size, up=True):
         return []
     return [
         a
@@ -634,10 +634,9 @@ def _characterization(pair: tuple[Matroid, Mask]) -> list[str]:
     n = m.ground.size
     full = (1 << n) - 1
     twists = classify_twists(n, mask_of(m.family))
-    odd, unions = restriction_codes(n, twists[0].circuits)
-    dual_odd, dual_unions = restriction_codes(n, twists[full].circuits)
-    factors_eulerian = bool(unions >> a & dual_unions >> (full ^ a) & 1)
-    factors_bipartite = not (odd >> a | dual_odd >> (full ^ a)) & 1
+    rec, dual = twists[0], twists[full]
+    factors_eulerian = bool(rec.circuit_unions >> a & dual.circuit_unions >> (full ^ a) & 1)
+    factors_bipartite = not (rec.odd_holders >> a | dual.odd_holders >> (full ^ a)) & 1
     v = []
     if twists[a].bipartite != factors_eulerian:
         v.append("%s * %s :: bipartite clause fails" % (fmt_system(m), m.render_set(a)))

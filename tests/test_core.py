@@ -96,6 +96,33 @@ def test_seeded_families_sort_like_reference_key():
             assert list(s.family) == sorted(set(fam), key=family_sort_key)
 
 
+def _closure_reference(code, n, up):
+    """The sets y above (or below) some set x of the code, by the subset test."""
+    sets = [x for x in range(1 << n) if code >> x & 1]
+    if up:
+        return mask_of(y for y in range(1 << n) if any(not x & ~y for x in sets))
+    return mask_of(y for y in range(1 << n) if any(not y & ~x for x in sets))
+
+
+def _assert_closure_matches_reference(code, n):
+    for up in (True, False):
+        assert core.closure_code(code, n, up) == _closure_reference(code, n, up), (code, n, up)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_closure_code_matches_subset_definition_on_every_small_code(n):
+    for code in range(1 << (1 << n)):
+        _assert_closure_matches_reference(code, n)
+
+
+def test_closure_code_matches_subset_definition_on_seeded_codes():
+    rng = random.Random("dmx-closure-code")
+    for n in range(4, 9):
+        for _ in range(20):
+            code = mask_of(rng.randrange(1 << n) for _ in range(rng.randint(1, 12)))
+            _assert_closure_matches_reference(code, n)
+
+
 def test_equality_ignores_concrete_class():
     s = SetSystem(numbered_ground(2), (0b01, 0b10))
     d = DeltaMatroid(numbered_ground(2), (0b01, 0b10))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,18 +7,23 @@ from dmx.core import (
     DeltaMatroid,
     ImproperSystemError,
     SetSystem,
+    canonical_masks,
     certify_delta_matroid,
     code_masks,
+    iter_bits,
     mask_of,
     numbered_ground,
     twist_code,
     twist_codes,
     twist_masks,
 )
-from dmx.gf2 import is_binary
+from dmx.gf2 import Gf2Matrix, column_matroid, is_binary
 from dmx.matroid import (
+    ClassificationReport,
     Matroid,
     MatroidError,
+    _classification,
+    _independent_sets,
     certify_matroid,
     classify_code,
     classify_delta,
@@ -189,9 +195,9 @@ def reference_odd_circuit(circuits):
     return next((c for c in circuits if c.bit_count() & 1), None)
 
 
-def reference_eulerian_partition(n, circuits):
-    """Exact cover of the ground set by disjoint circuits, branching on the
-    lowest uncovered element."""
+def reference_exact_cover(target, circuits):
+    """Exact cover of the target set by disjoint circuits, backtracking on the
+    lowest uncovered element with the circuits in the given order."""
 
     def bt(uncovered, acc):
         if not uncovered:
@@ -204,7 +210,11 @@ def reference_eulerian_partition(n, circuits):
                     return got
         return None
 
-    return bt((1 << n) - 1, [])
+    return bt(target, [])
+
+
+def reference_eulerian_partition(n, circuits):
+    return reference_exact_cover((1 << n) - 1, circuits)
 
 
 def classification_corpus():
@@ -226,6 +236,85 @@ def test_cached_classification_matches_reference():
         assert m.is_eulerian() == (partition is not None)
         rep = classify_matroid(m)
         assert (rep.odd_circuit_witness, rep.eulerian_partition) == (odd, partition)
+
+
+def reference_scan_circuits(n, bases):
+    """One scan of the subsets in canonical order: a dependent set is a
+    circuit iff removing any one element leaves it independent."""
+    ind = _independent_sets(code_masks(bases, n))
+    return tuple(
+        m
+        for m in canonical_masks(n)
+        if m not in ind and all(m ^ low in ind for low in iter_bits(m))
+    )
+
+
+def reference_record(n, bases):
+    """The whole ClassificationReport by definition: the restriction codes
+    hold the A that contain an odd circuit and the A that are an exact
+    cover by circuits."""
+    circ = reference_scan_circuits(n, bases)
+    odd = reference_odd_circuit(circ)
+    partition = reference_eulerian_partition(n, circ)
+    odd_circuits = [c for c in circ if c.bit_count() & 1]
+    return ClassificationReport(
+        circ,
+        odd is None,
+        partition is not None,
+        partition,
+        odd,
+        mask_of(a for a in range(1 << n) if any(not c & ~a for c in odd_circuits)),
+        mask_of(a for a in range(1 << n) if reference_exact_cover(a, circ) is not None),
+    )
+
+
+def one_line(n):
+    """The rank-3 paving matroid on n elements whose only 3-element circuit
+    is the line {1,2,3}; its other circuits are the 4-sets without it."""
+    m = uniform(n, 3)
+    return Matroid(m.ground, tuple(b for b in m.bases if b != 0b111))
+
+
+def _record_keys():
+    """(n, base code) of every matroid on <= 3 elements, of every key the
+    corpora reach (binary matroids on <= 6 elements, lower matroids of
+    DM(<= 4)), and of seeded column and uniform matroids on 7-12 elements."""
+    small = [d for d in delta_matroids_up_to(3) if len({m.bit_count() for m in d.family}) == 1]
+    corpora = list(binary_matroids_up_to(6)) + [lower_matroid(d) for d in delta_matroids_up_to(4)]
+    rng = random.Random("dmx-classification-record")
+    large = []
+    for n in range(7, 13):
+        for _ in range(3):
+            rows = tuple(rng.randrange(1 << n) for _ in range(rng.randint(2, n // 2 + 1)))
+            large.append(column_matroid(Gf2Matrix(rows, n)))
+        # non-binary; the rank keeps the circuits to at most 66
+        large.append(uniform(n, 2 if n <= 8 else n - 3))
+    large += [one_line(7), one_line(8)]
+    keys = dict.fromkeys((m.ground.size, mask_of(m.family)) for m in small + corpora + large)
+    return list(keys), len(small)
+
+
+def test_classification_record_matches_reference_on_every_field():
+    keys, small = _record_keys()
+    # labelled matroids on 0, 1, 2 and 3 elements: 1 + 2 + 5 + 16
+    assert small == 24
+    records = []
+    for n, bases in keys:
+        rec = _classification(n, bases)
+        assert rec == reference_record(n, bases), (n, bin(bases))
+        records.append(rec)
+    assert any(r.eulerian_partition for r in records)
+    # the lookahead matters: on one_line(8) the first circuit through the
+    # first element, the line, leaves five elements that no circuits cover
+    assert any(
+        r.eulerian_partition and r.eulerian_partition[0] != next(c for c in r.circuits if c & 1)
+        for r in records
+    )
+    assert not all(r.eulerian for r in records)
+    assert not all(r.bipartite for r in records)
+    large = [r for (n, _), r in zip(keys, records) if n > 6]
+    assert any(r.eulerian_partition for r in large)
+    assert not all(r.bipartite for r in large)
 
 
 def test_delta_classification_matches_lower_matroid():

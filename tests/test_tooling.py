@@ -1,20 +1,27 @@
 """The traced benchmark runs wrap the dmx names that perfbench/tracer.py
 lists.  A name deleted or renamed in src/ must fail here, not silently drop
-out of a traced run.  The tracer is read, never imported as a package, so
+out of a traced run; the same holds for the names README.md cites.  The
+tracer and the input generator are read, never imported as a package, so
 nothing is written under perfbench/."""
 
 import ast
+import hashlib
 import importlib
+import io
+import re
 import runpy
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from dmx import verify
+from dmx.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+GEN = runpy.run_path(str(ROOT / "perfbench" / "gen.py"))
 
 
 @pytest.mark.parametrize("layer", sorted(TRACER["LAYERS"]))
@@ -48,3 +55,42 @@ def test_library_imports_only_the_standard_library():
                 if top != "dmx" and top not in sys.stdlib_module_names:
                     foreign.append((path.name, name))
     assert foreign == []
+
+
+def test_readme_library_names_resolve():
+    """Every backticked `module.name` that README.md cites for a dmx module
+    names an attribute of that module."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`((?:core|matroid|gf2|ribbon|formats|verify|cli)(?:\.\w+)+)", text))
+    assert len(cited) >= 17
+    missing = []
+    for name in sorted(cited):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module("dmx." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
+
+
+# sha256 of every request's exit code, stdout and stderr on the seed-1 files,
+# with the directory replaced by "DIR"; a refactor must not change one byte
+CLI_OUTPUT_DIGEST = "c7bda84c0e092cc91b7cb2412214126fb8c07c4048330ce3ed7cf5dc51395fcd"
+
+
+def test_cli_output_on_generated_files_is_unchanged(tmp_path):
+    """check, classify, ribbon to-dm and ribbon classify on each of the 100
+    seed-1 classify-files inputs, in process: valid runs, verdicts and the
+    exit-2 diagnostics of the commands that do not apply to a file."""
+    specs = GEN["generate"](1)
+    GEN["write"](specs, str(tmp_path))
+    h = hashlib.sha256()
+    for spec in specs:
+        for command in (["check"], ["classify"], ["ribbon", "to-dm"], ["ribbon", "classify"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command + [str(tmp_path / spec.name)])
+            record = "%s\0%s\0%s\0" % (code, out.getvalue(), err.getvalue())
+            h.update(record.replace(str(tmp_path), "DIR").encode("utf-8"))
+    assert h.hexdigest() == CLI_OUTPUT_DIGEST

@@ -27,7 +27,6 @@ from dmx.matroid import (
     is_bipartite_delta,
     is_eulerian_delta,
     lower_matroid,
-    restriction_codes,
     upper_matroid,
 )
 from dmx.ribbon import RibbonGraph
@@ -366,6 +365,17 @@ def test_shard_count_does_not_change_text_report():
         assert [render_text(r) for r in one] == [render_text(r) for r in three]
 
 
+def test_max_n_5_run_evicts_no_classification():
+    """A cold --max-n 5 run fills each classification cache without
+    evicting: every miss stays cached, below the bound."""
+    matroid._classification.cache_clear()
+    matroid.classify_twists.cache_clear()
+    run_suite(max_n=5, seed=3)
+    for cache, count in ((matroid._classification, 466), (matroid.classify_twists, 980)):
+        info = cache.cache_info()
+        assert info.misses == info.currsize == count < matroid.CLASSIFICATION_CACHE_SIZE
+
+
 def _upper_bases(family):
     """Mutant of lower_bases: the maximum-cardinality suffix, i.e. the bases
     of the upper matroid."""
@@ -699,8 +709,9 @@ def test_contraction_codes_match_minor_classification():
 
 
 def test_restriction_codes_match_minor_classification():
-    """Bit A of the restriction codes of M and of M* against the classes of
-    M \\ A^c and M* \\ A, built as minors, on all 13,193 twist pairs."""
+    """Bit A of the restriction codes of M and of M* (the records' odd_holders
+    and circuit_unions) against the classes of M \\ A^c and M* \\ A, built
+    as minors, on all 13,193 twist pairs."""
     pairs = matroid_twist_pairs(5)
     assert len(pairs) == 13193
     for m, a in pairs:
@@ -708,7 +719,8 @@ def test_restriction_codes_match_minor_classification():
         full = (1 << n) - 1
         dual = twist_masks(m.family, full, n)
         for fam, deleted, kept in ((m.family, full ^ a, a), (dual, a, full ^ a)):
-            odd, unions = restriction_codes(n, classify_family(n, fam).circuits)
+            rec = classify_family(n, fam)
+            odd, unions = rec.odd_holders, rec.circuit_unions
             restricted = classify_family(kept.bit_count(), minor_masks(fam, deleted, 0))
             assert restricted.bipartite == (not odd >> kept & 1)
             assert restricted.eulerian == bool(unions >> kept & 1)
