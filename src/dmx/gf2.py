@@ -4,7 +4,7 @@ vector matroids, and the binary-representability decision."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     RANK_TABLE_MAX_N,
@@ -137,6 +137,17 @@ class Gf2Matrix:
         return sum(((row >> j) & 1) << i for i, row in enumerate(self.rows))
 
 
+def column_base_code(cols: Sequence[int]) -> int:
+    """The base code of the vector matroid of these GF(2) column bitmasks:
+    bit x is set iff the columns in x are a basis of their span."""
+    r = gf2_rank(cols)
+    return mask_of(
+        x
+        for x in range(1 << len(cols))
+        if x.bit_count() == r and gf2_rank([cols[j] for j in indices_of(x)]) == r
+    )
+
+
 def column_matroid(b: Gf2Matrix, ground: Optional[GroundSet] = None) -> Matroid:
     """Vector matroid of the columns: independence is linear independence."""
     n = b.cols
@@ -146,13 +157,7 @@ def column_matroid(b: Gf2Matrix, ground: Optional[GroundSet] = None) -> Matroid:
     if g.size != n:
         raise ValueError("ground size does not match column count")
     cols = [b.column(j) for j in range(n)]
-    r = gf2_rank(cols)
-    bases = tuple(
-        x
-        for x in range(1 << n)
-        if x.bit_count() == r and gf2_rank([cols[j] for j in indices_of(x)]) == r
-    )
-    return Matroid(g, bases)
+    return Matroid._from_canonical(g, code_masks(column_base_code(cols), n))
 
 
 def forced_matrix(n: int, feasible: Callable[[Mask], bool]) -> Gf2SymmetricMatrix:

@@ -4,6 +4,10 @@ result, and reproducible counterexample reports.
 Every check is a `Check` record in the `SUITE` table: a corpus, a test that
 returns the violations of one instance, and for a one-directional result a
 recorded witness on which the converse fails.  One executor runs them all.
+An instance of an exhaustive corpus is a tuple (n, code) on the ground
+labelled 1..n, where the code has bit x set for each feasible set or base x,
+or (n, code, a) for a twist pair; a test builds masks only for the mask
+kernels it calls, and fmt_system renders an instance only when it fails.
 Every generator is deterministic given its arguments; every check is
 deterministic given (max_n, seed).  With T shards, shard t tests the
 instances whose index is t modulo T, the shards run one after another, and
@@ -28,13 +32,14 @@ from .core import (
     DeltaMatroid,
     GroundSet,
     Mask,
-    SetSystem,
     bit_clear_codes,
     canonical_masks,
     closure_code,
     code_masks,
     exchange_violation_masks,
+    indices_of,
     iter_bits,
+    layer_codes,
     loop_complement_masks,
     mask_of,
     minor_masks,
@@ -44,13 +49,7 @@ from .core import (
     twist_codes,
     twist_masks,
 )
-from .gf2 import (
-    Gf2Matrix,
-    Gf2SymmetricMatrix,
-    column_matroid,
-    is_binary,
-    nonsingular_code,
-)
+from .gf2 import column_base_code, is_binary, nonsingular_code
 from .matroid import (
     Matroid,
     classify_code,
@@ -162,9 +161,15 @@ class Check:
         )
 
 
-def fmt_system(s: SetSystem) -> str:
-    ground = " ".join(s.ground.labels) or "-"
-    return "(%s; %s)" % (ground, " ".join(s.render_set(m) for m in s.family))
+def fmt_set(x: Mask) -> str:
+    """A set on numbered_ground(n), as SetSystem.render_set prints it."""
+    return "{%s}" % ",".join(str(i + 1) for i in indices_of(x))
+
+
+def fmt_system(n: int, code: int) -> str:
+    """The family with this code on numbered_ground(n), as "(1 2; {} {1,2})"."""
+    ground = " ".join(str(i + 1) for i in range(n)) or "-"
+    return "(%s; %s)" % (ground, " ".join(map(fmt_set, code_masks(code, n))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +181,12 @@ def _split_table(k: int, e: int) -> list[tuple[int, int]]:
     """Entry h, for every indicator code h of a family on k elements: the codes
     of its sets without e and of its sets with e, e removed from both."""
     low = (1 << e) - 1
-    # per mask on k elements: which side of e it lies on, its bit in that part
-    moves = [(m >> e & 1, 1 << ((m & low) | (m >> 1 & ~low))) for m in range(1 << k)]
-    table = []
-    for h in range(1 << (1 << k)):
-        out = [0, 0]
-        for m, (side, bit) in enumerate(moves):
-            if h >> m & 1:
-                out[side] |= bit
-        table.append((out[0], out[1]))
+    table = [(0, 0)]
+    # by doubling: entry h + 2^m is entry h with mask m's bit added, in its
+    # part on its side of e
+    for m in range(1 << k):
+        bit = 1 << ((m & low) | (m >> 1 & ~low))
+        table += [(c0, c1 | bit) if m >> e & 1 else (c0 | bit, c1) for c0, c1 in table]
     return table
 
 
@@ -210,9 +212,9 @@ def complementary_exchange_holds(code: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
-    """All delta-matroids on a ground set of size n, in ascending order of
-    their indicator code (bit m set when the family contains mask m).
+def delta_matroids_exact(n: int) -> tuple[int, ...]:
+    """The codes of all delta-matroids on a ground set of size n, ascending
+    (bit m set when the family contains mask m).
 
     Built by one-element extension.  The sets without an element e and the
     sets with e, e removed, are the deletion and the contraction by e, so each
@@ -227,15 +229,13 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
     """
     if not 0 <= n <= 4:
         raise ValueError("exhaustive delta-matroid enumeration is limited to 0 <= n <= 4")
-    g = numbered_ground(n)
     if n == 0:
         # the one nonempty family on the empty ground set, {{}}
-        out = [DeltaMatroid(g, (0,))]
-        candidates, split_rejected, exchange_rejected = 1, 0, 0
+        out, candidates, split_rejected, exchange_rejected = [1], 1, 0, 0
     else:
         half = 1 << (n - 1)
         quarter = half >> 1
-        parts = [0] + [mask_of(d.family) for d in delta_matroids_exact(n - 1)]
+        parts = (0,) + delta_matroids_exact(n - 1)
         allowed = set(parts)
         splits = [_split_table(n - 1, e) for e in range(n - 1)]
         out = []
@@ -255,7 +255,7 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
                 else:
                     code = c0 | c1 << half
                     if complementary_exchange_holds(code, n):
-                        out.append(DeltaMatroid._from_canonical(g, code_masks(code, n)))
+                        out.append(code)
                     else:
                         exchange_rejected += 1
     logger.info(
@@ -266,12 +266,13 @@ def delta_matroids_exact(n: int) -> tuple[DeltaMatroid, ...]:
     return tuple(out)
 
 
-def delta_matroids_up_to(n: int) -> tuple[DeltaMatroid, ...]:
-    return tuple(d for k in range(n + 1) for d in delta_matroids_exact(k))
+def delta_matroids_up_to(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((k, c) for k in range(n + 1) for c in delta_matroids_exact(k))
 
 
 @lru_cache(maxsize=None)
-def all_symmetric_matrices(n: int) -> tuple[Gf2SymmetricMatrix, ...]:
+def all_symmetric_matrices(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of every symmetric GF(2) matrix of order n."""
     positions = [(i, j) for i in range(n) for j in range(i, n)]
     out = []
     for code in range(1 << len(positions)):
@@ -280,21 +281,21 @@ def all_symmetric_matrices(n: int) -> tuple[Gf2SymmetricMatrix, ...]:
             if (code >> k) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        out.append(Gf2SymmetricMatrix(tuple(rows)))
+        out.append(tuple(rows))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def binary_delta_corpus_exact(n: int) -> tuple[DeltaMatroid, ...]:
-    """All twists D(A)*s over all symmetric matrices A of order n, each once:
-    a twist is kept only when s is its canonical minimum, as the normal form
-    D(A) then forces A (Bouchet, "Representability of delta-matroids", 1988).
+def binary_delta_corpus_exact(n: int) -> tuple[int, ...]:
+    """The codes of all twists D(A)*s over all symmetric matrices A of order
+    n, each once: a twist is kept only when s is its canonical minimum, as
+    the normal form D(A) then forces A (Bouchet, "Representability of
+    delta-matroids", 1988).
 
     The twists are codes from twist_codes.  The empty set is in D(A), so s is
     in D(A)*s, and s is its minimum iff no mask ranked before s is."""
     if not 0 <= n <= 4:
         raise ValueError("binary corpus generation is limited to 0 <= n <= 4")
-    g = numbered_ground(n)
     # entry s: the code of the masks ranked before s
     before = [0] * (1 << n)
     seen = 0
@@ -303,25 +304,25 @@ def binary_delta_corpus_exact(n: int) -> tuple[DeltaMatroid, ...]:
         seen |= 1 << m
     matrices = all_symmetric_matrices(n)
     out = [
-        DeltaMatroid._from_canonical(g, code_masks(code, n))
-        for a in matrices
-        for s, code in enumerate(twist_codes(nonsingular_code(a.rows), n))
+        code
+        for rows in matrices
+        for s, code in enumerate(twist_codes(nonsingular_code(rows), n))
         if not code & before[s]
     ]
     logger.info(
         "binary delta-matroid corpus: n=%d matrices=%d twists=%d kept=%d",
         n, len(matrices), len(matrices) << n, len(out),
     )
-    out.sort(key=lambda d: (len(d.family), d.family))
-    return tuple(out)
+    return tuple(sorted(out, key=lambda c: (c.bit_count(), code_masks(c, n))))
 
 
-def binary_delta_corpus_up_to(n: int) -> tuple[DeltaMatroid, ...]:
-    return tuple(d for k in range(n + 1) for d in binary_delta_corpus_exact(k))
+def binary_delta_corpus_up_to(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((k, c) for k in range(n + 1) for c in binary_delta_corpus_exact(k))
 
 
-def _rref_matrices(n: int) -> list[Gf2Matrix]:
-    """One matrix per row space of GF(2)^n, via reduced row echelon forms.
+def _rref_matrices(n: int) -> list[list[int]]:
+    """The columns of one matrix per row space of GF(2)^n, via reduced row
+    echelon forms.
 
     The column matroid depends only on the row space, and a binary matroid
     is uniquely representable over GF(2), so it determines its row space:
@@ -337,35 +338,29 @@ def _rref_matrices(n: int) -> list[Gf2Matrix]:
                 if j > pivots[i] and j not in pivots
             ]
             for code in range(1 << len(free)):
-                rows = [1 << pivots[i] for i in range(r)]
+                cols = [1 << pivots.index(j) if j in pivots else 0 for j in range(n)]
                 for k, (i, j) in enumerate(free):
                     if (code >> k) & 1:
-                        rows[i] |= 1 << j
-                out.append(Gf2Matrix(tuple(rows), n))
+                        cols[j] |= 1 << i
+                out.append(cols)
     return out
 
 
 @lru_cache(maxsize=None)
-def binary_matroids_exact(n: int) -> tuple[Matroid, ...]:
+def binary_matroids_exact(n: int) -> tuple[int, ...]:
+    """The base codes of all binary matroids on n elements."""
     if not 0 <= n <= 6:
         raise ValueError("binary matroid generation is limited to 0 <= n <= 6")
-    g = numbered_ground(n)
-    out = [column_matroid(mat, g) for mat in _rref_matrices(n)]
-    out.sort(key=lambda m: (len(m.family), m.family))
-    return tuple(out)
+    out = [column_base_code(cols) for cols in _rref_matrices(n)]
+    return tuple(sorted(out, key=lambda c: (c.bit_count(), code_masks(c, n))))
 
 
-def binary_matroids_up_to(n: int) -> tuple[Matroid, ...]:
-    return tuple(m for k in range(n + 1) for m in binary_matroids_exact(k))
+def binary_matroids_up_to(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((k, c) for k in range(n + 1) for c in binary_matroids_exact(k))
 
 
-def matroid_twist_pairs(n: int) -> tuple[tuple[Matroid, Mask], ...]:
-    return tuple(
-        (m, a)
-        for k in range(n + 1)
-        for m in binary_matroids_exact(k)
-        for a in range(1 << k)
-    )
+def matroid_twist_pairs(n: int) -> tuple[tuple[int, int, Mask], ...]:
+    return tuple((k, c, a) for k, c in binary_matroids_up_to(n) for a in range(1 << k))
 
 
 def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, ...]:
@@ -474,15 +469,19 @@ def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int
     return lambda max_n, seed: generate(min(max_n, cap))
 
 
-def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
+def _is_even(code: int, n: int) -> bool:
+    """Whether the sets of the nonempty family with this code share a parity."""
+    odd = reduce(or_, layer_codes(n)[1::2], 0)
+    return not code & odd or not code & ~odd
+
+
+def _deletion_minimum_failures(code: int, n: int) -> list[int]:
     """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e.
 
     Both sides are compared as codes on the ground of D, e kept in place:
     the sets of D \\ e are the code's sets without e.  A coloop e of the
     lower matroid is contracted instead, so its bases lose e, which moves
     them 2^e bit positions down."""
-    n = d.ground.size
-    code = mask_of(d.family)
     cmin = lower_code(code, n)
     return [
         e
@@ -492,17 +491,17 @@ def _deletion_minimum_failures(d: DeltaMatroid) -> list[int]:
     ]
 
 
-def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask]:
+def _lower_bound_failures(code: int, n: int, subsets: Iterable[Mask]) -> list[Mask]:
     """The A in subsets that some feasible set meets in fewer elements than
     every lower-matroid base does.
 
     A feasible set F that holds a base B meets every A in at least |B & A|
     elements, so no A fails when every F lies in the up-closure of the bases;
     when some F holds none, A = E - F fails.  Only then are the A compared."""
-    fam = d.family
-    bases = lower_bases(fam)
-    if not mask_of(fam) & ~closure_code(mask_of(bases), d.ground.size, up=True):
+    if not code & ~closure_code(lower_code(code, n), n, up=True):
         return []
+    fam = code_masks(code, n)
+    bases = lower_bases(fam)
     return [
         a
         for a in subsets
@@ -510,60 +509,61 @@ def _lower_bound_failures(d: DeltaMatroid, subsets: Iterable[Mask]) -> list[Mask
     ]
 
 
-def _min_deletion(d: DeltaMatroid) -> list[str]:
+def _min_deletion(item: tuple[int, int]) -> list[str]:
     """Deletion commutes with taking the lower matroid; the contraction
     analog fails on the recorded witness."""
+    n, code = item
     return [
-        "%s :: deletion/minimum identity fails at %s" % (fmt_system(d), d.ground.labels[e])
-        for e in _deletion_minimum_failures(d)
+        "%s :: deletion/minimum identity fails at %d" % (fmt_system(n, code), e + 1)
+        for e in _deletion_minimum_failures(code, n)
     ]
 
 
-def _qualifying_circuit(d: DeltaMatroid) -> bool:
+def _qualifying_circuit(n: int, code: int) -> bool:
     """Some circuit C of the lower matroid is feasible in D restricted to C,
     i.e. the restriction's canonical family ends with its full ground set."""
-    n = d.ground.size
-    fam = d.family
+    fam = code_masks(code, n)
     full = (1 << n) - 1
     return any(
         minor_masks(fam, full ^ c, 0)[-1] == (1 << c.bit_count()) - 1
-        for c in classify_family(n, fam).circuits
+        for c in classify_code(n, code).circuits
     )
 
 
-def _odd_circuit(d: DeltaMatroid) -> list[str]:
+def _odd_circuit(item: tuple[int, int]) -> list[str]:
     """Binary delta-matroid is odd iff some circuit C of the lower matroid is
     feasible in the restriction to C; the non-binary witness breaks the
     forward direction."""
-    if (d.parity() == ODD) != _qualifying_circuit(d):
-        return ["%s :: odd-circuit equivalence fails" % fmt_system(d)]
+    n, code = item
+    if _is_even(code, n) == _qualifying_circuit(n, code):
+        return ["%s :: odd-circuit equivalence fails" % fmt_system(n, code)]
     return []
 
 
-def _bipartite_loop_complement(d: DeltaMatroid) -> list[str]:
+def _bipartite_loop_complement(item: tuple[int, int]) -> list[str]:
     """Binary even delta-matroid is bipartite iff its loop complementation on
     the whole ground set is even."""
-    n = d.ground.size
-    lc = loop_complement_masks(d.family, (1 << n) - 1, n)
-    if classify_family(n, d.family).bipartite != (parity_masks(lc) == EVEN):
-        return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(d)]
+    n, code = item
+    lc = loop_complement_masks(code_masks(code, n), (1 << n) - 1, n)
+    if classify_code(n, code).bipartite != (parity_masks(lc) == EVEN):
+        return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(n, code)]
     return []
 
 
-def _welsh_duality(m: Matroid) -> list[str]:
+def _welsh_duality(item: tuple[int, int]) -> list[str]:
     """Binary matroid is Eulerian iff its dual is bipartite iff its
-    independent-set count is odd."""
-    n = m.ground.size
+    independent-set count, the down-closure of its bases, is odd."""
+    n, code = item
     v = []
-    eul = classify_family(n, m.family).eulerian
-    if eul != classify_family(n, twist_masks(m.family, (1 << n) - 1, n)).bipartite:
-        v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(m))
-    if eul != bool(m.count_independent_sets() & 1):
-        v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(m))
+    eul = classify_code(n, code).eulerian
+    if eul != classify_family(n, twist_masks(code_masks(code, n), (1 << n) - 1, n)).bipartite:
+        v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(n, code))
+    if eul != bool(closure_code(code, n, up=False).bit_count() & 1):
+        v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(n, code))
     return v
 
 
-def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
+def _twist_decomposition(item: tuple[int, int, Mask]) -> list[str]:
     """Lower and upper matroids of a twisted matroid decompose as direct sums
     of minors of the matroid and its dual: lower(M*A) = (M/A) + (M|A)* and
     upper(M*A) = (M\\A) + (M/A^c)*.  Let S be the bases B meeting A most.
@@ -571,26 +571,27 @@ def _twist_decomposition(pair: tuple[Matroid, Mask]) -> list[str]:
     lower sum has the bases (B1 - A) | (A - B2) for B1, B2 in S, in M's own
     bit positions; the upper sum is read the same way off the bases meeting
     A least."""
-    m, a = pair
-    twisted = twist_masks(m.family, a, m.ground.size)
-    meets = [(b & a).bit_count() for b in m.family]
+    n, code, a = item
+    fam = code_masks(code, n)
+    twisted = twist_masks(fam, a, n)
+    meets = [(b & a).bit_count() for b in fam]
     v = []
     for side, bases, extreme in (("lower", lower_bases, max), ("upper", upper_bases, min)):
         top = extreme(meets)
-        s = [b for b, k in zip(m.family, meets) if k == top]
+        s = [b for b, k in zip(fam, meets) if k == top]
         if {b1 & ~a | a & ~b2 for b1 in s for b2 in s} != set(bases(twisted)):
-            v.append("%s * %s :: %s decomposition fails" % (fmt_system(m), m.render_set(a), side))
+            v.append("%s * %s :: %s decomposition fails" % (fmt_system(n, code), fmt_set(a), side))
     return v
 
 
-def _circuit_contraction(m: Matroid) -> list[str]:
+def _circuit_contraction(item: tuple[int, int]) -> list[str]:
     """Contracting an element outside a circuit of a binary matroid leaves the
     circuit a circuit or a disjoint union of exactly two circuits."""
-    n = m.ground.size
-    fam = m.family
+    n, code = item
+    fam = code_masks(code, n)
     v = []
     contracted = [classify_family(n - 1, minor_masks(fam, 0, 1 << e)).circuits for e in range(n)]
-    for c in classify_family(n, fam).circuits:
+    for c in classify_code(n, code).circuits:
         for e, circuits in enumerate(contracted):
             if (c >> e) & 1:
                 continue
@@ -607,52 +608,50 @@ def _circuit_contraction(m: Matroid) -> list[str]:
             ):
                 continue
             v.append(
-                "%s :: circuit %s breaks under contraction of %s"
-                % (fmt_system(m), m.render_set(c), m.ground.labels[e])
+                "%s :: circuit %s breaks under contraction of %d"
+                % (fmt_system(n, code), fmt_set(c), e + 1)
             )
     return v
 
 
-def _bipartite_dual_eulerian(pair: tuple[Matroid, Mask]) -> list[str]:
+def _bipartite_dual_eulerian(item: tuple[int, int, Mask]) -> list[str]:
     """Bipartite twists of binary matroids have Eulerian duals; the converse
     fails on the recorded witness.  The dual of M*A is M*(E - A)."""
-    m, a = pair
-    n = m.ground.size
-    twists = classify_twists(n, mask_of(m.family))
+    n, code, a = item
+    twists = classify_twists(n, code)
     if twists[a].bipartite and not twists[((1 << n) - 1) ^ a].eulerian:
-        return ["%s * %s :: bipartite twist with non-Eulerian dual" % (fmt_system(m), m.render_set(a))]
+        return ["%s * %s :: bipartite twist with non-Eulerian dual" % (fmt_system(n, code), fmt_set(a))]
     return []
 
 
-def _characterization(pair: tuple[Matroid, Mask]) -> list[str]:
+def _characterization(item: tuple[int, int, Mask]) -> list[str]:
     """A twist of a binary matroid is bipartite (Eulerian) iff both deletion
     factors of the matroid and its dual are Eulerian (bipartite).
 
     M \\ A^c is M|A and M* \\ A is M*|A^c, so both are read off the
     restriction codes of M and of M*, the twists of M by {} and by E."""
-    m, a = pair
-    n = m.ground.size
+    n, code, a = item
     full = (1 << n) - 1
-    twists = classify_twists(n, mask_of(m.family))
+    twists = classify_twists(n, code)
     rec, dual = twists[0], twists[full]
     factors_eulerian = bool(rec.circuit_unions >> a & dual.circuit_unions >> (full ^ a) & 1)
     factors_bipartite = not (rec.odd_holders >> a | dual.odd_holders >> (full ^ a)) & 1
     v = []
     if twists[a].bipartite != factors_eulerian:
-        v.append("%s * %s :: bipartite clause fails" % (fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: bipartite clause fails" % (fmt_system(n, code), fmt_set(a)))
     if twists[a].eulerian != factors_bipartite:
-        v.append("%s * %s :: eulerian clause fails" % (fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: eulerian clause fails" % (fmt_system(n, code), fmt_set(a)))
     return v
 
 
-def _deletion_bipartite(d: DeltaMatroid) -> list[str]:
+def _deletion_bipartite(item: tuple[int, int]) -> list[str]:
     """Deletion preserves bipartiteness of arbitrary delta-matroids."""
-    n = d.ground.size
-    fam = d.family
-    if not classify_family(n, fam).bipartite:
+    n, code = item
+    if not classify_code(n, code).bipartite:
         return []
+    fam = code_masks(code, n)
     return [
-        "%s :: deleting %s loses bipartiteness" % (fmt_system(d), d.render_set(a))
+        "%s :: deleting %s loses bipartiteness" % (fmt_system(n, code), fmt_set(a))
         for a in range(1 << n)
         if not classify_family(n - a.bit_count(), minor_masks(fam, a, 0)).bipartite
     ]
@@ -669,13 +668,13 @@ def _contraction_is_bipartite(code: int, a: Mask, n: int) -> bool:
     return classify_code(n, code << a).bipartite
 
 
-def _contraction_bipartite(d: DeltaMatroid) -> list[str]:
+def _contraction_bipartite(item: tuple[int, int]) -> list[str]:
     """If a twist D*A is bipartite then D*/A^c and D/A are bipartite.  The
     twists are read from the table of the least code D*b of the twist
     orbit, at A XOR b, and the contractions off the codes of D and D*."""
-    n = d.ground.size
+    n, code = item
     full = (1 << n) - 1
-    codes = twist_codes(mask_of(d.family), n)
+    codes = twist_codes(code, n)
     b = codes.index(min(codes))
     twists = classify_twists(n, codes[b])
     v = []
@@ -683,34 +682,34 @@ def _contraction_bipartite(d: DeltaMatroid) -> list[str]:
         if not twists[a ^ b].bipartite:
             continue
         if not _contraction_is_bipartite(codes[full], full ^ a, n):
-            v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
+            v.append("%s :: D*/A^c not bipartite for A=%s" % (fmt_system(n, code), fmt_set(a)))
         if not _contraction_is_bipartite(codes[0], a, n):
-            v.append("%s :: D/A not bipartite for A=%s" % (fmt_system(d), d.render_set(a)))
+            v.append("%s :: D/A not bipartite for A=%s" % (fmt_system(n, code), fmt_set(a)))
     return v
 
 
-def _lower_bound(d: DeltaMatroid) -> list[str]:
+def _lower_bound(item: tuple[int, int]) -> list[str]:
     """Every feasible set meets any A in at least as many elements as some
     lower-matroid base does."""
+    n, code = item
     return [
-        "%s :: intersection lower bound fails for A=%s" % (fmt_system(d), d.render_set(a))
-        for a in _lower_bound_failures(d, range(1 << d.ground.size))
+        "%s :: intersection lower bound fails for A=%s" % (fmt_system(n, code), fmt_set(a))
+        for a in _lower_bound_failures(code, n, range(1 << n))
     ]
 
 
 def _operation_calculus_corpus(
     max_n: int, seed: int, random_count: int = 200
-) -> list[tuple[DeltaMatroid, Optional[str]]]:
+) -> list[tuple[int, int, Optional[str]]]:
     """Every delta-matroid on at most min(max_n, 3) elements, tested on all
     subsets (key None), then seeded random ones on min(max_n + 3, 8)
     elements, each tested on a sample drawn from its own key."""
-    items: list[tuple[DeltaMatroid, Optional[str]]] = [
-        (d, None) for d in delta_matroids_up_to(min(max_n, 3))
-    ]
-    first = len(items)
+    items = [(n, code, None) for n, code in delta_matroids_up_to(min(max_n, 3))]
     sampled = random_delta_matroids(min(max_n + 3, 8), seed, random_count)
-    items += [(d, "dmx-opcalc-%d-%d" % (seed, first + i)) for i, d in enumerate(sampled)]
-    return items
+    return items + [
+        (d.ground.size, mask_of(d.family), "dmx-opcalc-%d-%d" % (seed, len(items) + i))
+        for i, d in enumerate(sampled)
+    ]
 
 
 def _odd_interval_family(fam: Iterable[Mask], x: Mask) -> set[Mask]:
@@ -744,7 +743,7 @@ def _one_at_a_time(fam: Sequence[Mask], ops: Iterable[tuple[bool, Mask]]) -> Seq
     return fam
 
 
-def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
+def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
     """Operation-calculus identities: twist group law, dual involution, the
     twist/minor exchange identities, loop-complement involution and the
     odd-interval membership rule, minor order-independence, parity invariance
@@ -754,18 +753,17 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
     Every identity is checked on canonical families through the kernels the
     SetSystem methods wrap: a minor shares its ground labels whatever the
     order of its steps, so equal families mean equal set systems."""
-    d, key = item
-    n = d.ground.size
+    n, code, key = item
     cap = 1 << n
     full = cap - 1
-    fam = d.family
-    # each twist of d, the dual among them, is computed once
+    fam = code_masks(code, n)
+    # each twist of the family, the dual among them, is computed once
     twist = lru_cache(maxsize=None)(lambda a: twist_masks(fam, a, n))
     dual = twist(full)
     v = []
 
     def flag(msg):
-        v.append("%s :: %s" % (fmt_system(d), msg))
+        v.append("%s :: %s" % (fmt_system(n, code), msg))
 
     if key is None:
         subsets: Sequence[Mask] = range(cap)
@@ -788,12 +786,11 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
         flag("dual is not an involution")
     for e in range(n):
         bit = 1 << e
-        lab = d.ground.labels[e]
         if minor_masks(fam, 0, bit) != minor_masks(twist(bit), bit, 0):
-            flag("D/e != (D*e)\\e at %s" % lab)
+            flag("D/e != (D*e)\\e at %d" % (e + 1))
             break
         if minor_masks(fam, bit, 0) != minor_masks(twist(bit), 0, bit):
-            flag("D\\e != (D*e)/e at %s" % lab)
+            flag("D\\e != (D*e)/e at %d" % (e + 1))
             break
     for x in subsets:
         m = n - x.bit_count()
@@ -820,9 +817,9 @@ def _operation_calculus(item: tuple[DeltaMatroid, Optional[str]]) -> list[str]:
         if parity_masks(twist(a)) != parity:
             flag("parity not twist-invariant")
             break
-    if _deletion_minimum_failures(d):
+    if _deletion_minimum_failures(code, n):
         flag("deletion/minimum identity fails")
-    if _lower_bound_failures(d, subsets):
+    if _lower_bound_failures(code, n, subsets):
         flag("intersection lower bound fails")
     return v
 
@@ -883,14 +880,14 @@ SUITE: dict[str, Check] = {
             Witness(
                 NONBINARY_WITNESS,
                 lambda d: d.parity() == ODD
-                and not _qualifying_circuit(d)
+                and not _qualifying_circuit(d.ground.size, mask_of(d.family))
                 and not is_binary(d).verdict,
             ),
         ),
         Check(
             "bipartite_loop_complement",
             lambda max_n, seed: [
-                d for d in binary_delta_corpus_up_to(min(max_n, 4)) if d.parity() == EVEN
+                (n, c) for n, c in binary_delta_corpus_up_to(min(max_n, 4)) if _is_even(c, n)
             ],
             _bipartite_loop_complement,
         ),
@@ -951,19 +948,16 @@ def enumerate_delta_matroids(n: int, seed: int = 0, sample_count: int = 2000) ->
     if not 0 <= n <= 6:
         raise ValueError("enumeration is limited to 0 <= n <= 6")
     if n <= 4:
-        dms: Sequence[DeltaMatroid] = delta_matroids_exact(n)
+        g = numbered_ground(n)
+        dms = [DeltaMatroid._from_canonical(g, code_masks(c, n)) for c in delta_matroids_exact(n)]
         head: dict = {"n": n, "mode": "exhaustive", "total": len(dms)}
     else:
         dms = random_delta_matroids(n, seed, sample_count)
         head = {"n": n, "mode": "sample", "total": len(dms), "distinct": len(set(dms))}
-    counts = {"even": 0, "binary": 0, "bipartite": 0, "eulerian": 0}
-    for d in dms:
-        if d.parity() == EVEN:
-            counts["even"] += 1
-        if is_binary(d).verdict:
-            counts["binary"] += 1
-        if is_bipartite_delta(d):
-            counts["bipartite"] += 1
-        if is_eulerian_delta(d):
-            counts["eulerian"] += 1
+    counts = {
+        "even": sum(d.parity() == EVEN for d in dms),
+        "binary": sum(is_binary(d).verdict for d in dms),
+        "bipartite": sum(is_bipartite_delta(d) for d in dms),
+        "eulerian": sum(is_eulerian_delta(d) for d in dms),
+    }
     return {**head, **counts}

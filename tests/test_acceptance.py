@@ -21,6 +21,7 @@ from dmx.matroid import (
 )
 from dmx.verify import SUITE, binary_delta_corpus_up_to, render_text, ribbon_corpus
 
+from test_core import systems_of
 from test_gf2 import _exhaustive_search
 
 
@@ -71,7 +72,7 @@ def test_criterion_1_explicit_witnesses():
 def test_criterion_2_bipartite_loop_complement_corpus():
     def body():
         start = time.perf_counter()
-        corpus = [d for d in binary_delta_corpus_up_to(4) if d.parity() == "even"]
+        corpus = [d for d in systems_of(binary_delta_corpus_up_to(4)) if d.parity() == "even"]
         assert len(corpus) > 100
         for d in corpus:
             bip = is_bipartite_delta(d)

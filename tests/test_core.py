@@ -37,6 +37,16 @@ def dm(labels, sets):
     return DeltaMatroid.from_sets(labels, sets)
 
 
+def system_of(n, code, cls=DeltaMatroid):
+    """The object of a corpus instance (n, code): the family with this code
+    on numbered_ground(n)."""
+    return cls._from_canonical(numbered_ground(n), code_masks(code, n))
+
+
+def systems_of(instances, cls=DeltaMatroid):
+    return [system_of(n, code, cls) for n, code in instances]
+
+
 def test_ground_set_basics():
     g = numbered_ground(3)
     assert g.labels == ("1", "2", "3")
@@ -300,7 +310,7 @@ def _extension_survivors():
         patch.setattr(verify, "complementary_exchange_holds", record)
         kept = verify.delta_matroids_exact.__wrapped__(4)
     # the survivors the test accepts are DM(4)
-    assert [d.family for d in kept] == [d.family for d in verify.delta_matroids_exact(4)]
+    assert kept == verify.delta_matroids_exact(4)
     return [SetSystem(numbered_ground(4), code_masks(code, 4)) for code in seen]
 
 
@@ -342,7 +352,7 @@ def test_certificate_first_validation_matches_scan_on_exhaustive_corpora():
     survivors = _extension_survivors()
     invalid = [s for s in survivors if exchange_violation_masks(s.family) is not None]
     assert (len(survivors), len(invalid)) == (6239, 280)
-    binary = [SetSystem(d.ground, d.family) for d in verify.binary_delta_corpus_up_to(4)]
+    binary = [system_of(n, c, SetSystem) for n, c in verify.binary_delta_corpus_up_to(4)]
     assert _validation_mismatches(survivors + binary, exchange_violation_masks) == []
 
 
@@ -610,7 +620,7 @@ def test_minor_of_empty_set_system_is_empty():
 
 def test_minor_matches_reference_on_exhaustive_delta_matroids():
     rng = random.Random("dmx-minor-exact-4")
-    for d in verify.delta_matroids_exact(4):
+    for d in (system_of(4, code) for code in verify.delta_matroids_exact(4)):
         for e in range(4):
             _assert_same(d.delete(e), _remove_reference(d, e, False))
             _assert_same(d.contract(e), _remove_reference(d, e, True))

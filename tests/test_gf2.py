@@ -24,8 +24,13 @@ from dmx.gf2 import (
     nonsingular_code,
 )
 from dmx.verify import NONBINARY_WITNESS, all_symmetric_matrices, delta_matroids_up_to
-from test_core import _random_symmetric
+from test_core import _random_symmetric, systems_of
 from test_properties import deterministic, symmetric_matrices
+
+
+def _matrices(n):
+    """Every symmetric matrix of order n, in the corpus's order."""
+    return [Gf2SymmetricMatrix(rows) for rows in all_symmetric_matrices(n)]
 
 
 def principal_nonsingular(a: Gf2SymmetricMatrix, x: Mask) -> bool:
@@ -147,7 +152,7 @@ def test_principal_nonsingular_matches_compacted_submatrix():
     """Every subset of all 4x4 matrices and of seeded random ones with
     6 <= n <= 12, half of those with a zero diagonal."""
     rng = random.Random("dmx-principal-nonsingular")
-    matrices = list(all_symmetric_matrices(4))
+    matrices = _matrices(4)
     for n in range(6, 13):
         for zero_diagonal in (False, True):
             a = _random_symmetric(n, rng)
@@ -167,7 +172,7 @@ def test_nonsingular_code_matches_reference_on_small_orders():
     """Every matrix of order <= 5; order 5 is the first the memo does not
     hold, so the top step runs for every a_hh and b."""
     for k in range(6):
-        for a in all_symmetric_matrices(k):
+        for a in _matrices(k):
             assert nonsingular_code(a.rows) == _reference_code(a), a
 
 
@@ -222,7 +227,7 @@ def test_forced_matrix_reads_a_off_the_small_sets():
     """forced_matrix recovers every A of order <= 3 from D(A), testing each
     set of size <= 2 once, and refuses a test with the empty set infeasible."""
     for n in range(4):
-        for a in all_symmetric_matrices(n):
+        for a in _matrices(n):
             members = delta_matroid_from_symmetric(a).members
             asked = []
 
@@ -252,7 +257,7 @@ def test_d_of_a_is_its_own_certificate():
     back: the certificate dmx classify builds for a .gf2 file without the
     search, on every matrix of order <= 4 and on seeded ones of order 5..12."""
     rng = random.Random("dmx-own-certificate")
-    small = [a for k in range(5) for a in all_symmetric_matrices(k)]
+    small = [a for k in range(5) for a in _matrices(k)]
     assert len(small) == 1099
     seeded = [_random_symmetric(rng.randint(5, 12), rng) for _ in range(200)]
     for a in small + seeded:
@@ -281,19 +286,19 @@ def test_is_binary_nonnormal_twist():
 def test_every_symmetric_matrix_yields_delta_matroid():
     from dmx.core import exchange_violation_masks
 
-    for a in all_symmetric_matrices(3):
+    for a in _matrices(3):
         d = delta_matroid_from_symmetric(a)
         assert exchange_violation_masks(d.family) is None
         assert 0 in d.members
 
 
 def test_shortcut_matches_exhaustive_search():
-    for d in delta_matroids_up_to(3):
+    for d in systems_of(delta_matroids_up_to(3)):
         assert is_binary(d).verdict == (_exhaustive_search(d) is not None)
 
 
 def test_failure_witness_is_first_mismatch_in_reference_order():
-    for d in delta_matroids_up_to(4):
+    for d in systems_of(delta_matroids_up_to(4)):
         cert = is_binary(d)
         expected = _reference_witness(d, cert.twist_set)
         assert cert.failure_witness == expected, d

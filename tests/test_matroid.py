@@ -38,6 +38,7 @@ from dmx.matroid import (
     upper_matroid,
 )
 from dmx.verify import binary_matroids_up_to, delta_matroids_up_to, random_delta_matroids
+from test_core import systems_of
 
 
 def matroid(labels, bases):
@@ -147,7 +148,7 @@ def test_lower_upper_matroid_match_full_constructor():
     from dmx.verify import delta_matroids_exact
 
     for n in range(5):
-        for d in delta_matroids_exact(n):
+        for d in systems_of((n, code) for code in delta_matroids_exact(n)):
             sizes = [m.bit_count() for m in d.family]
             for got, size in ((lower_matroid(d), min(sizes)), (upper_matroid(d), max(sizes))):
                 want = Matroid(d.ground, tuple(m for m in d.family if m.bit_count() == size))
@@ -218,8 +219,8 @@ def reference_eulerian_partition(n, circuits):
 
 
 def classification_corpus():
-    yield from binary_matroids_up_to(5)
-    for d in delta_matroids_up_to(4):
+    yield from systems_of(binary_matroids_up_to(5), Matroid)
+    for d in systems_of(delta_matroids_up_to(4)):
         yield lower_matroid(d)
 
 
@@ -279,8 +280,12 @@ def _record_keys():
     """(n, base code) of every matroid on <= 3 elements, of every key the
     corpora reach (binary matroids on <= 6 elements, lower matroids of
     DM(<= 4)), and of seeded column and uniform matroids on 7-12 elements."""
-    small = [d for d in delta_matroids_up_to(3) if len({m.bit_count() for m in d.family}) == 1]
-    corpora = list(binary_matroids_up_to(6)) + [lower_matroid(d) for d in delta_matroids_up_to(4)]
+    small = [
+        d for d in systems_of(delta_matroids_up_to(3)) if len({m.bit_count() for m in d.family}) == 1
+    ]
+    corpora = systems_of(binary_matroids_up_to(6), Matroid) + [
+        lower_matroid(d) for d in systems_of(delta_matroids_up_to(4))
+    ]
     rng = random.Random("dmx-classification-record")
     large = []
     for n in range(7, 13):
@@ -318,7 +323,7 @@ def test_classification_record_matches_reference_on_every_field():
 
 
 def test_delta_classification_matches_lower_matroid():
-    for d in delta_matroids_up_to(4):
+    for d in systems_of(delta_matroids_up_to(4)):
         low = lower_matroid(d)
         assert is_bipartite_delta(d) == low.is_bipartite(), d
         assert is_eulerian_delta(d) == low.is_eulerian(), d
@@ -354,8 +359,8 @@ def test_code_kernels_match_masks_on_every_small_family(n):
 
 
 def test_code_kernels_match_masks_on_exhaustive_delta_matroids():
-    for d in delta_matroids_up_to(4):
-        _assert_code_kernels_match_masks(d.ground.size, d.family, classify=True)
+    for n, code in delta_matroids_up_to(4):
+        _assert_code_kernels_match_masks(n, code_masks(code, n), classify=True)
 
 
 def test_code_kernels_match_masks_on_random_delta_matroids():
@@ -367,10 +372,10 @@ def test_twist_tables_match_classified_twists():
     """classify_twists(n, code)[a] against the classification of the twisted
     family, for every a, on DM(<= 3) and every binary matroid on <= 5
     elements."""
-    for d in delta_matroids_up_to(3) + binary_matroids_up_to(5):
-        n = d.ground.size
-        table = classify_twists(n, mask_of(d.family))
-        assert table == tuple(classify_family(n, twist_masks(d.family, a, n)) for a in range(1 << n))
+    for n, code in delta_matroids_up_to(3) + binary_matroids_up_to(5):
+        family = code_masks(code, n)
+        table = classify_twists(n, code)
+        assert table == tuple(classify_family(n, twist_masks(family, a, n)) for a in range(1 << n))
 
 
 def test_lower_code_of_empty_code_is_an_error():
@@ -396,7 +401,7 @@ def test_object_level_functions_reject_an_empty_family(fn):
 
 
 def test_certify_matroid_returns_the_delta_matroid_certificate():
-    for m in binary_matroids_up_to(3):
+    for m in systems_of(binary_matroids_up_to(3), Matroid):
         got, cert = certify_matroid(m)
         assert type(got) is Matroid and got == m
         assert cert == certify_delta_matroid(m)[1]

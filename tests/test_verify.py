@@ -13,6 +13,7 @@ from dmx.core import (
     DeltaMatroid,
     GroundSet,
     SetSystem,
+    code_masks,
     exchange_violation_masks,
     layer_codes,
     loop_complement_masks,
@@ -21,8 +22,9 @@ from dmx.core import (
     numbered_ground,
     twist_masks,
 )
-from dmx.gf2 import delta_matroid_from_symmetric
+from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
 from dmx.matroid import (
+    Matroid,
     classify_family,
     is_bipartite_delta,
     is_eulerian_delta,
@@ -48,18 +50,32 @@ from dmx.verify import (
     ribbon_corpus,
     run_suite,
 )
+from test_core import system_of
+
+
+def _render(s):
+    """The object rendering fmt_system reproduces from (n, code)."""
+    return "(%s; %s)" % (" ".join(s.ground.labels) or "-", " ".join(map(s.render_set, s.family)))
+
+
+def _delta(item):
+    """The DeltaMatroid of a corpus instance (n, code, ...)."""
+    return system_of(item[0], item[1])
+
+
+def _matroid(item):
+    """The Matroid of a corpus instance (n, code, ...)."""
+    return system_of(item[0], item[1], Matroid)
 
 
 def _delta_matroids_reference(n):
-    """Every delta-matroid on n elements by brute force: the full axiom check
-    on every nonempty family, in ascending order of its indicator code."""
-    g = numbered_ground(n)
-    out = []
-    for code in range(1, 1 << (1 << n)):
-        fam = tuple(m for m in range(1 << n) if (code >> m) & 1)
-        if exchange_violation_masks(fam) is None:
-            out.append(DeltaMatroid(g, fam))
-    return tuple(out)
+    """The code of every delta-matroid on n elements by brute force: the full
+    axiom check on every nonempty family, in ascending order of its code."""
+    return tuple(
+        code
+        for code in range(1, 1 << (1 << n))
+        if exchange_violation_masks(tuple(m for m in range(1 << n) if (code >> m) & 1)) is None
+    )
 
 
 def test_exhaustive_counts():
@@ -71,11 +87,11 @@ def test_exhaustive_counts():
 
 def _corpus_digest(corpus):
     """sha256 over one line "<ground size> <family code in hex>" per
-    instance, in corpus order: it pins the members and their order, not only
-    their number."""
+    instance (n, code), in corpus order: it pins the members and their
+    order, not only their number."""
     h = hashlib.sha256()
-    for d in corpus:
-        h.update(b"%d %x\n" % (d.ground.size, mask_of(d.family)))
+    for n, code in corpus:
+        h.update(b"%d %x\n" % (n, code))
     return h.hexdigest()
 
 
@@ -119,11 +135,8 @@ def test_corpus_members_are_pinned(corpus, count, digest):
 def test_extension_corpus_matches_brute_force():
     for n, count in enumerate((1, 3, 15, 155, 5959)):
         got = delta_matroids_exact(n)
-        want = _delta_matroids_reference(n)
-        assert len(got) == len(want) == count
-        assert [(type(d), d.ground.labels, d.family) for d in got] == [
-            (type(d), d.ground.labels, d.family) for d in want
-        ]
+        assert len(got) == count
+        assert got == _delta_matroids_reference(n)
     with pytest.raises(ValueError, match="0 <= n <= 4"):
         delta_matroids_exact(5)
 
@@ -140,11 +153,10 @@ def test_extension_corpus_logs_its_rejections(caplog):
 
 
 def test_exhaustive_families_are_valid_and_distinct():
-    seen = set()
-    for d in delta_matroids_exact(3):
-        assert exchange_violation_masks(d.family) is None
-        assert d.family not in seen
-        seen.add(d.family)
+    codes = delta_matroids_exact(3)
+    assert len(set(codes)) == len(codes)
+    for code in codes:
+        assert exchange_violation_masks(code_masks(code, 3)) is None
 
 
 def test_symmetric_matrix_corpus():
@@ -153,14 +165,13 @@ def test_symmetric_matrix_corpus():
 
 
 def _binary_delta_corpus_reference(n):
-    """Every twist of every D(A) of order n, deduplicated by family."""
-    found = {}
-    for a in all_symmetric_matrices(n):
-        base = delta_matroid_from_symmetric(a, numbered_ground(n))
-        for s in range(1 << n):
-            d = base.twist(s)
-            found.setdefault(d.family, d)
-    return sorted(found.values(), key=lambda d: (len(d.family), d.family))
+    """The code of every twist of every D(A) of order n, deduplicated by
+    family and sorted by (family size, family)."""
+    found = set()
+    for rows in all_symmetric_matrices(n):
+        base = delta_matroid_from_symmetric(Gf2SymmetricMatrix(rows), numbered_ground(n))
+        found.update(base.twist(s).family for s in range(1 << n))
+    return [mask_of(fam) for fam in sorted(found, key=lambda fam: (len(fam), fam))]
 
 
 def test_binary_corpus_is_deduplicated_and_valid():
@@ -168,8 +179,8 @@ def test_binary_corpus_is_deduplicated_and_valid():
         corpus = binary_delta_corpus_exact(n)
         assert len(corpus) == count
         assert list(corpus) == _binary_delta_corpus_reference(n)
-    for d in binary_delta_corpus_exact(2):
-        assert exchange_violation_masks(d.family) is None
+    for code in binary_delta_corpus_exact(2):
+        assert exchange_violation_masks(code_masks(code, 2)) is None
 
 
 def test_binary_corpus_logs_its_counts(caplog):
@@ -182,8 +193,7 @@ def test_binary_corpus_logs_its_counts(caplog):
 
 
 def test_binary_matroid_corpus():
-    ms = binary_matroids_exact(3)
-    fams = [m.family for m in ms]
+    fams = [code_masks(code, 3) for code in binary_matroids_exact(3)]
     assert len(fams) == len(set(fams))
     # every matroid on <= 3 elements is binary: compare against brute force
     from dmx.core import exchange_violation_masks
@@ -203,13 +213,12 @@ def test_binary_matroids_one_per_row_space():
     deduplication."""
     for n, count in enumerate((1, 2, 5, 16, 67, 374, 2825)):
         assert len(verify._rref_matrices(n)) == count
-        fams = {m.family for m in binary_matroids_exact(n)}
-        assert len(fams) == len(binary_matroids_exact(n)) == count
+        assert len(set(binary_matroids_exact(n))) == len(binary_matroids_exact(n)) == count
 
 
 def test_matroid_twist_pairs_shape():
     pairs = matroid_twist_pairs(2)
-    assert all(0 <= a <= m.ground.full_mask for m, a in pairs)
+    assert all(0 <= a < 1 << n for n, code, a in pairs)
     assert len(pairs) > len(binary_matroids_exact(2))
 
 
@@ -432,13 +441,15 @@ def _qualifying_circuit_reference(d):
     return False
 
 
-def _odd_circuit_reference(d):
+def _odd_circuit_reference(item):
+    d = _delta(item)
     if (d.parity() == ODD) != _qualifying_circuit_reference(d):
-        return ["%s :: odd-circuit equivalence fails" % verify.fmt_system(d)]
+        return ["%s :: odd-circuit equivalence fails" % _render(d)]
     return []
 
 
-def _circuit_contraction_reference(m):
+def _circuit_contraction_reference(item):
+    m = _matroid(item)
     v = []
     for c in m.circuits:
         labels_c = frozenset(m.ground.labels_of(c))
@@ -458,7 +469,7 @@ def _circuit_contraction_reference(m):
                 continue
             v.append(
                 "%s :: circuit %s breaks under contraction of %s"
-                % (verify.fmt_system(m), m.render_set(c), m.ground.labels[e])
+                % (_render(m), m.render_set(c), m.ground.labels[e])
             )
     return v
 
@@ -470,8 +481,8 @@ def _violations(test, corpus):
 def test_mask_checks_match_label_references():
     deltas = binary_delta_corpus_up_to(4) + delta_matroids_up_to(4)
     assert len(deltas) == 2449 + 6133
-    got = [verify._qualifying_circuit(d) for d in deltas]
-    assert got == [_qualifying_circuit_reference(d) for d in deltas]
+    got = [verify._qualifying_circuit(n, code) for n, code in deltas]
+    assert got == [_qualifying_circuit_reference(_delta(item)) for item in deltas]
     assert 0 < sum(got) < len(got)
     matroids = binary_matroids_up_to(5)
     assert _violations(verify._circuit_contraction, matroids) == []
@@ -517,69 +528,72 @@ def test_mask_checks_match_label_references_under_mutants(
 # both versions.
 
 
-def _min_deletion_reference(d):
+def _min_deletion_reference(item):
+    d = _delta(item)
     dmin = lower_matroid(d)
     return [
-        "%s :: deletion/minimum identity fails at %s" % (verify.fmt_system(d), d.ground.labels[e])
+        "%s :: deletion/minimum identity fails at %s" % (_render(d), d.ground.labels[e])
         for e in range(d.ground.size)
         if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
     ]
 
 
-def _deletion_bipartite_reference(d):
+def _deletion_bipartite_reference(item):
+    d = _delta(item)
     if not is_bipartite_delta(d):
         return []
     return [
-        "%s :: deleting %s loses bipartiteness" % (verify.fmt_system(d), d.render_set(a))
+        "%s :: deleting %s loses bipartiteness" % (_render(d), d.render_set(a))
         for a in range(1 << d.ground.size)
         if not is_bipartite_delta(d.minor(delete=a))
     ]
 
 
-def _contraction_bipartite_reference(d):
+def _contraction_bipartite_reference(item):
+    d = _delta(item)
     full = d.ground.full_mask
     v = []
     for a in range(1 << d.ground.size):
         if not is_bipartite_delta(d.twist(a)):
             continue
         if not is_bipartite_delta(d.dual().minor(contract=full ^ a)):
-            v.append("%s :: D*/A^c not bipartite for A=%s" % (verify.fmt_system(d), d.render_set(a)))
+            v.append("%s :: D*/A^c not bipartite for A=%s" % (_render(d), d.render_set(a)))
         if not is_bipartite_delta(d.minor(contract=a)):
-            v.append("%s :: D/A not bipartite for A=%s" % (verify.fmt_system(d), d.render_set(a)))
+            v.append("%s :: D/A not bipartite for A=%s" % (_render(d), d.render_set(a)))
     return v
 
 
-def _lower_bound_reference(d):
+def _lower_bound_reference(item):
+    d = _delta(item)
     dmin = lower_matroid(d)
     return [
-        "%s :: intersection lower bound fails for A=%s" % (verify.fmt_system(d), d.render_set(a))
+        "%s :: intersection lower bound fails for A=%s" % (_render(d), d.render_set(a))
         for a in range(1 << d.ground.size)
         if min((f & a).bit_count() for f in d.family)
         < min((b & a).bit_count() for b in dmin.family)
     ]
 
 
-def _characterization_reference(pair):
-    m, a = pair
+def _characterization_reference(item):
+    m, a = _matroid(item), item[2]
     ac = m.ground.full_mask ^ a
     d = m.twist(a)
     mdac = m.minor(delete=ac)
     mda = m.dual().minor(delete=a)
     v = []
     if is_bipartite_delta(d) != (mdac.is_eulerian() and mda.is_eulerian()):
-        v.append("%s * %s :: bipartite clause fails" % (verify.fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: bipartite clause fails" % (_render(m), m.render_set(a)))
     if is_eulerian_delta(d) != (mdac.is_bipartite() and mda.is_bipartite()):
-        v.append("%s * %s :: eulerian clause fails" % (verify.fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: eulerian clause fails" % (_render(m), m.render_set(a)))
     return v
 
 
-def _bipartite_dual_eulerian_reference(pair):
-    m, a = pair
+def _bipartite_dual_eulerian_reference(item):
+    m, a = _matroid(item), item[2]
     d = m.twist(a)
     if is_bipartite_delta(d) and not is_eulerian_delta(d.dual()):
         return [
-            "%s * %s :: bipartite twist with non-Eulerian dual"
-            % (verify.fmt_system(m), m.render_set(a))
+            "%s * %s :: bipartite twist with non-Eulerian dual" % (_render(m), m.render_set(a))
         ]
     return []
 
@@ -598,17 +612,17 @@ def _same_up_to_ground_order(a, b):
     return set(a.ground.labels) == set(b.ground.labels) and _labeled_family(a) == _labeled_family(b)
 
 
-def _twist_decomposition_reference(pair):
-    m, a = pair
+def _twist_decomposition_reference(item):
+    m, a = _matroid(item), item[2]
     ac = m.ground.full_mask ^ a
     d = m.twist(a)
     v = []
     low = _direct_sum(m.minor(contract=a), m.minor(delete=ac).dual())
     if not _same_up_to_ground_order(lower_matroid(d), low):
-        v.append("%s * %s :: lower decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: lower decomposition fails" % (_render(m), m.render_set(a)))
     high = _direct_sum(m.minor(delete=a), m.minor(contract=ac).dual())
     if not _same_up_to_ground_order(upper_matroid(d), high):
-        v.append("%s * %s :: upper decomposition fails" % (verify.fmt_system(m), m.render_set(a)))
+        v.append("%s * %s :: upper decomposition fails" % (_render(m), m.render_set(a)))
     return v
 
 
@@ -624,13 +638,14 @@ def test_operation_calculus_helpers_match_object_references(monkeypatch, n, coun
     failing = 0
     for d in random_delta_matroids(n, 23, count):
         dmin = lower_matroid(d)
-        deletion = verify._deletion_minimum_failures(d)
+        code = mask_of(d.family)
+        deletion = verify._deletion_minimum_failures(code, n)
         assert deletion == [
             e
             for e in range(n)
             if not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e)
         ]
-        bound = verify._lower_bound_failures(d, range(1 << n))
+        bound = verify._lower_bound_failures(code, n, range(1 << n))
         assert bound == [
             a
             for a in range(1 << n)
@@ -674,7 +689,7 @@ def _six_element_twist_pairs():
     ms = binary_matroids_exact(6)
     assert len(ms) == 2825
     picks = sorted(random.Random(6).sample(range(len(ms) << 6), 2000))
-    return [(ms[i >> 6], i & 63) for i in picks]
+    return [(6, ms[i >> 6], i & 63) for i in picks]
 
 
 def test_twist_decomposition_matches_object_reference_on_six_elements():
@@ -700,11 +715,11 @@ def test_contraction_codes_match_minor_classification():
     """The bipartite class of D / A read off the code against the
     classification of minor_masks(F, {}, A), for every A, on DM(<= 4) and on
     seeded random delta-matroids on 8 elements."""
-    for d in delta_matroids_up_to(4) + random_delta_matroids(8, 29, 20):
-        n = d.ground.size
-        code = mask_of(d.family)
+    sampled = [(8, mask_of(d.family)) for d in random_delta_matroids(8, 29, 20)]
+    for n, code in delta_matroids_up_to(4) + tuple(sampled):
+        family = code_masks(code, n)
         for a in range(1 << n):
-            contracted = classify_family(n - a.bit_count(), minor_masks(d.family, 0, a))
+            contracted = classify_family(n - a.bit_count(), minor_masks(family, 0, a))
             assert verify._contraction_is_bipartite(code, a, n) == contracted.bipartite
 
 
@@ -714,11 +729,11 @@ def test_restriction_codes_match_minor_classification():
     as minors, on all 13,193 twist pairs."""
     pairs = matroid_twist_pairs(5)
     assert len(pairs) == 13193
-    for m, a in pairs:
-        n = m.ground.size
+    for n, code, a in pairs:
         full = (1 << n) - 1
-        dual = twist_masks(m.family, full, n)
-        for fam, deleted, kept in ((m.family, full ^ a, a), (dual, a, full ^ a)):
+        family = code_masks(code, n)
+        dual = twist_masks(family, full, n)
+        for fam, deleted, kept in ((family, full ^ a, a), (dual, a, full ^ a)):
             rec = classify_family(n, fam)
             odd, unions = rec.odd_holders, rec.circuit_unions
             restricted = classify_family(kept.bit_count(), minor_masks(fam, deleted, 0))
@@ -756,15 +771,15 @@ def _apply_ops_reference(d, ops):
 
 
 def _operation_calculus_reference(item):
-    d, key = item
-    n = d.ground.size
+    n, code, key = item
+    d = system_of(n, code)
     cap = 1 << n
     twist = functools.lru_cache(maxsize=None)(d.twist)
     dual = d.dual()
     v = []
 
     def flag(msg):
-        v.append("%s :: %s" % (verify.fmt_system(d), msg))
+        v.append("%s :: %s" % (_render(d), msg))
 
     if key is None:
         subsets = range(cap)
@@ -824,9 +839,9 @@ def _operation_calculus_reference(item):
         if twist(a).parity() != d.parity():
             flag("parity not twist-invariant")
             break
-    if verify._deletion_minimum_failures(d):
+    if verify._deletion_minimum_failures(code, n):
         flag("deletion/minimum identity fails")
-    if verify._lower_bound_failures(d, subsets):
+    if verify._lower_bound_failures(code, n, subsets):
         flag("intersection lower bound fails")
     return v
 
@@ -893,19 +908,21 @@ def test_operation_calculus_matches_object_reference_under_mutants(
 # so a mutant patched into dmx.core and dmx.verify reaches both versions.
 
 
-def _welsh_duality_reference(m):
+def _welsh_duality_reference(item):
+    m = _matroid(item)
     v = []
     eul = m.is_eulerian()
     if eul != m.dual().is_bipartite():
-        v.append("%s :: eulerian/dual-bipartite mismatch" % verify.fmt_system(m))
+        v.append("%s :: eulerian/dual-bipartite mismatch" % _render(m))
     if eul != bool(m.count_independent_sets() & 1):
-        v.append("%s :: eulerian/independent-count parity mismatch" % verify.fmt_system(m))
+        v.append("%s :: eulerian/independent-count parity mismatch" % _render(m))
     return v
 
 
-def _bipartite_loop_complement_reference(d):
+def _bipartite_loop_complement_reference(item):
+    d = _delta(item)
     if is_bipartite_delta(d) != (d.loop_complement(d.ground.full_mask).parity() == EVEN):
-        return ["%s :: bipartite/loop-complement parity mismatch" % verify.fmt_system(d)]
+        return ["%s :: bipartite/loop-complement parity mismatch" % _render(d)]
     return []
 
 
@@ -996,3 +1013,80 @@ def test_enumerate_sampled_and_bounds():
     assert info["distinct"] == 29
     with pytest.raises(ValueError):
         enumerate_delta_matroids(7)
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (0, (1, 1, 1, 1, 1)),
+        (1, (3, 2, 3, 1, 2)),
+        (2, (15, 6, 15, 3, 10)),
+        (3, (155, 30, 135, 20, 105)),
+        (4, (5959, 294, 2295, 615, 4554)),
+    ],
+)
+def test_enumerate_exhaustive_counts_are_pinned(n, counts):
+    """total, even, binary, bipartite and eulerian over DM(n); the binary
+    count agrees with the binary corpus, which a second generator builds."""
+    info = enumerate_delta_matroids(n)
+    keys = ("total", "even", "binary", "bipartite", "eulerian")
+    assert tuple(info[k] for k in keys) == counts
+    assert info["binary"] == len(binary_delta_corpus_exact(n))
+
+
+def test_fmt_system_matches_object_rendering():
+    """fmt_system and fmt_set print the bytes of the object rendering on
+    every member of DM(<= 3), the empty ground included."""
+    instances = delta_matroids_up_to(3)
+    assert len(instances) == 174
+    for n, code in instances:
+        d = system_of(n, code)
+        assert verify.fmt_system(n, code) == _render(d)
+        assert [verify.fmt_set(x) for x in range(1 << n)] == list(map(d.render_set, range(1 << n)))
+    assert verify.fmt_system(0, 1) == _render(system_of(0, 1)) == "(-; {})"
+
+
+def _count_constructions(monkeypatch):
+    """A counter of SetSystem constructions.  Each dataclass subclass has its
+    own __init__, and every one of them calls the inherited __post_init__,
+    so that is counted, with every _from_canonical."""
+    count = [0]
+    post_init = SetSystem.__post_init__
+    from_canonical = SetSystem._from_canonical.__func__
+
+    def counted_post_init(self):
+        count[0] += 1
+        post_init(self)
+
+    def counted_from_canonical(cls, ground, family):
+        count[0] += 1
+        return from_canonical(cls, ground, family)
+
+    monkeypatch.setattr(SetSystem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SetSystem, "_from_canonical", classmethod(counted_from_canonical))
+    return count
+
+
+def test_exhaustive_checks_build_set_systems_only_for_witnesses(monkeypatch):
+    """A cold --max-n 5 run of every check on the exhaustive corpora builds
+    no more set systems than their recorded witnesses do: the generators
+    and the tests work on (n, code) instances."""
+    names = [name for name in SUITE if name not in ("operation_calculus", "ribbon_correspondence")]
+    for cached in (
+        delta_matroids_exact,
+        binary_delta_corpus_exact,
+        binary_matroids_exact,
+        all_symmetric_matrices,
+        matroid._classification,
+        matroid.classify_twists,
+    ):
+        cached.cache_clear()
+    count = _count_constructions(monkeypatch)
+    run_suite(names, max_n=5, seed=3)
+    built = count[0]
+    count[0] = 0
+    for name in names:
+        w = SUITE[name].witness
+        if w is not None:
+            w.converse_fails(w.instance)
+    assert 0 < built <= count[0]
