@@ -139,6 +139,57 @@ def closure_code(code: int, n: int, up: bool) -> int:
     return code
 
 
+def dual_code(code: int, n: int) -> int:
+    """The code of a family on n elements twisted by the whole ground: x
+    goes to E - x = 2^n - 1 - x, so the 2^n-bit code is read backwards."""
+    return int(format(code, "0%db" % (1 << n))[::-1], 2)
+
+
+def loop_complement_code(code: int, a: Mask, n: int) -> int:
+    """loop_complement_masks on the code of a family on n elements: per
+    element e of a, the sets x without e toggle x + e, 2^e bit positions up."""
+    keeps = bit_clear_codes(n)
+    for bit in iter_bits(a):
+        e = bit.bit_length() - 1
+        code ^= (code & keeps[e]) << bit
+    return code
+
+
+def minor_code(code: int, n: int, delete: Mask, contract: Mask) -> int:
+    """minor_masks on the code of a family on n elements: the code of the
+    minor on the n - |delete | contract| remaining elements.
+
+    Highest element first, the wanted side of e is kept with e cleared from
+    its sets: the sets without e are code & M_e and those with e are
+    (code >> 2^e) & M_e, M_e the code of the sets without e.  An empty side
+    keeps the other one, the loop/coloop rule.  The kept index bits are then
+    packed down once: the kept elements above the lowest removed one move,
+    lowest first, to consecutive positions from that one's, each with one
+    masked shift; the positions a move passes are clear in every set."""
+    keeps = bit_clear_codes(n)
+    removed = delete | contract
+    rest = removed
+    while rest:
+        e = rest.bit_length() - 1
+        bit = 1 << e
+        rest ^= bit
+        keep = keeps[e]
+        if contract & bit:
+            code = (code >> bit) & keep or code & keep
+        else:
+            code = code & keep or (code >> bit) & keep
+    low = removed & -removed
+    to = low.bit_length() - 1
+    kept = ~removed & ((1 << n) - 1) & -low
+    while kept:
+        kb = kept & -kept
+        kept ^= kb
+        stay = code & keeps[kb.bit_length() - 1]
+        code = stay | (code ^ stay) >> (kb - (1 << to))
+        to += 1
+    return code
+
+
 def twist_codes(code: int, n: int) -> list[int]:
     """The codes of the family twisted by every a < 2^n, indexed by a.
 

@@ -36,12 +36,15 @@ from .core import (
     canonical_masks,
     closure_code,
     code_masks,
+    dual_code,
     exchange_violation_masks,
     indices_of,
     iter_bits,
     layer_codes,
+    loop_complement_code,
     loop_complement_masks,
     mask_of,
+    minor_code,
     minor_masks,
     numbered_ground,
     parity_masks,
@@ -203,8 +206,8 @@ def complementary_exchange_holds(code: int, n: int) -> bool:
     Every u lies in X XOR (E - X), so X XOR {u} must be feasible or lie in
     the twist of the family by some {v}, v != u."""
     singles = [twist_code(code, e, n) for e in range(n)]
-    # the X whose complement is feasible too: the code read backwards
-    pairs = code & int(format(code, "0%db" % (1 << n))[::-1], 2)
+    # the X whose complement is feasible too
+    pairs = code & dual_code(code, n)
     return not any(
         twist_code(pairs, u, n) & ~reduce(or_, singles[:u] + singles[u + 1 :], code)
         for u in range(n)
@@ -363,6 +366,33 @@ def matroid_twist_pairs(n: int) -> tuple[tuple[int, int, Mask], ...]:
     return tuple((k, c, a) for k, c in binary_matroids_up_to(n) for a in range(1 << k))
 
 
+def _exchange_holds_with(fam: set[Mask], c: Mask) -> bool:
+    """Whether the delta-matroid family fam with c added still satisfies the
+    symmetric exchange axiom.  A triple (X, Y, u) with X and Y in fam had its
+    v in fam already, so only X = c or Y = c can fail: O(|fam| n^2) rather
+    than a full exchange_violation_masks scan."""
+    members = fam | {c}
+    for y in fam:
+        d = c ^ y
+        for x in (c, y):
+            rest = d
+            while rest:
+                ub = rest & -rest
+                rest ^= ub
+                xu = x ^ ub
+                if xu in members:
+                    continue
+                others = d ^ ub
+                while others:
+                    vb = others & -others
+                    if xu ^ vb in members:
+                        break
+                    others ^= vb
+                else:
+                    return False
+    return True
+
+
 def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, ...]:
     """Seeded random delta-matroids: grow a family from a random feasible set,
     rejecting any candidate addition that breaks the exchange axiom."""
@@ -379,7 +409,7 @@ def random_delta_matroids(n: int, seed: int, count: int) -> tuple[DeltaMatroid, 
             cand = rng.randrange(cap)
             if cand in fam:
                 continue
-            if exchange_violation_masks(tuple(fam | {cand})) is None:
+            if _exchange_holds_with(fam, cand):
                 fam.add(cand)
             else:
                 rejected += 1
@@ -469,9 +499,15 @@ def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int
     return lambda max_n, seed: generate(min(max_n, cap))
 
 
+@lru_cache(maxsize=None)
+def _odd_sets_code(n: int) -> int:
+    """The code of the masks x < 2^n with an odd number of elements."""
+    return reduce(or_, layer_codes(n)[1::2], 0)
+
+
 def _is_even(code: int, n: int) -> bool:
     """Whether the sets of the nonempty family with this code share a parity."""
-    odd = reduce(or_, layer_codes(n)[1::2], 0)
+    odd = _odd_sets_code(n)
     return not code & odd or not code & ~odd
 
 
@@ -521,11 +557,10 @@ def _min_deletion(item: tuple[int, int]) -> list[str]:
 
 def _qualifying_circuit(n: int, code: int) -> bool:
     """Some circuit C of the lower matroid is feasible in D restricted to C,
-    i.e. the restriction's canonical family ends with its full ground set."""
-    fam = code_masks(code, n)
+    i.e. the restriction's code has the bit of its full ground set."""
     full = (1 << n) - 1
     return any(
-        minor_masks(fam, full ^ c, 0)[-1] == (1 << c.bit_count()) - 1
+        minor_code(code, n, full ^ c, 0) >> ((1 << c.bit_count()) - 1) & 1
         for c in classify_code(n, code).circuits
     )
 
@@ -649,11 +684,10 @@ def _deletion_bipartite(item: tuple[int, int]) -> list[str]:
     n, code = item
     if not classify_code(n, code).bipartite:
         return []
-    fam = code_masks(code, n)
     return [
         "%s :: deleting %s loses bipartiteness" % (fmt_system(n, code), fmt_set(a))
         for a in range(1 << n)
-        if not classify_family(n - a.bit_count(), minor_masks(fam, a, 0)).bipartite
+        if not classify_code(n - a.bit_count(), minor_code(code, n, a, 0)).bipartite
     ]
 
 
@@ -712,35 +746,37 @@ def _operation_calculus_corpus(
     ]
 
 
-def _odd_interval_family(fam: Iterable[Mask], x: Mask) -> set[Mask]:
-    """The sets y covering an odd number of intervals [z, z | x] with z
-    feasible: the loop complement by x by its definition, read from the
-    feasible side.  Each z toggles z | s for every subset s of x - z."""
-    odd: set[Mask] = set()
-    for z in fam:
-        free = x & ~z
-        s = free
-        while True:
-            y = z | s
-            if y in odd:
-                odd.remove(y)
-            else:
-                odd.add(y)
-            if not s:
-                break
-            s = (s - 1) & free
+@lru_cache(maxsize=None)
+def _subsets_code(s: Mask) -> int:
+    """The code of the subsets of s: one doubling per element of s."""
+    code = 1
+    for bit in iter_bits(s):
+        code |= code << bit
+    return code
+
+
+def _odd_interval_code(code: int, x: Mask) -> int:
+    """The code of the sets y covering an odd number of intervals [z, z | x]
+    with z feasible: the loop complement by x by its definition, read from
+    the feasible side.  Each z toggles z | s for every subset s of x - z,
+    the code of those subsets shifted up by z."""
+    odd = 0
+    for zb in iter_bits(code):
+        z = zb.bit_length() - 1
+        odd ^= _subsets_code(x & ~z) << z
     return odd
 
 
-def _one_at_a_time(fam: Sequence[Mask], ops: Iterable[tuple[bool, Mask]]) -> Sequence[Mask]:
+def _one_at_a_time(code: int, n: int, ops: Iterable[tuple[bool, Mask]]) -> int:
     """The minor by one-element steps, each (contract?, element bit) in the
     original ground; a step re-indexes its element past the removed ones."""
     removed = 0
     for contract, bit in ops:
         step = 1 << (bit.bit_length() - 1 - (removed & (bit - 1)).bit_count())
-        fam = minor_masks(fam, 0, step) if contract else minor_masks(fam, step, 0)
+        code = minor_code(code, n, 0, step) if contract else minor_code(code, n, step, 0)
+        n -= 1
         removed |= bit
-    return fam
+    return code
 
 
 def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
@@ -750,16 +786,19 @@ def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
     under twist, the lower-matroid deletion identity and the intersection
     lower bound.
 
-    Every identity is checked on canonical families through the kernels the
-    SetSystem methods wrap: a minor shares its ground labels whatever the
-    order of its steps, so equal families mean equal set systems."""
+    Every identity is checked on 2^n-bit codes, through the code kernels
+    twist_codes, twist_code, dual_code, minor_code and loop_complement_code;
+    a minor shares its ground labels whatever the order of its steps, so
+    equal codes mean equal set systems.  The twists come from one table,
+    built by doubling lowest element first; the group law applies b to a
+    twist one butterfly per element, highest first, and the dual involution
+    reads the table's dual backwards.  Parity is _is_even of the codes, and
+    the odd-interval rule is built without loop_complement_code."""
     n, code, key = item
     cap = 1 << n
     full = cap - 1
-    fam = code_masks(code, n)
-    # each twist of the family, the dual among them, is computed once
-    twist = lru_cache(maxsize=None)(lambda a: twist_masks(fam, a, n))
-    dual = twist(full)
+    twists = twist_codes(code, n)
+    dual = twists[full]
     v = []
 
     def flag(msg):
@@ -779,42 +818,47 @@ def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
             minor_pairs.append((dl, rng.randrange(cap) & ~dl))
 
     for a, b in pairs:
-        if twist_masks(twist(a), b, n) != twist(a ^ b):
+        t, rest = twists[a], b
+        # highest element first, against the table's lowest-first doubling
+        while rest:
+            e = rest.bit_length() - 1
+            rest ^= 1 << e
+            t = twist_code(t, e, n)
+        if t != twists[a ^ b]:
             flag("twist group law fails")
             break
-    if twist_masks(dual, full, n) != fam:
+    if dual_code(dual, n) != code:
         flag("dual is not an involution")
     for e in range(n):
         bit = 1 << e
-        if minor_masks(fam, 0, bit) != minor_masks(twist(bit), bit, 0):
+        if minor_code(code, n, 0, bit) != minor_code(twists[bit], n, bit, 0):
             flag("D/e != (D*e)\\e at %d" % (e + 1))
             break
-        if minor_masks(fam, bit, 0) != minor_masks(twist(bit), 0, bit):
+        if minor_code(code, n, bit, 0) != minor_code(twists[bit], n, 0, bit):
             flag("D\\e != (D*e)/e at %d" % (e + 1))
             break
     for x in subsets:
-        m = n - x.bit_count()
-        if minor_masks(fam, x, 0) != twist_masks(minor_masks(dual, 0, x), (1 << m) - 1, m):
+        if minor_code(code, n, x, 0) != dual_code(minor_code(dual, n, 0, x), n - x.bit_count()):
             flag("deletion-via-dual identity fails")
             break
     for x in subsets:
-        if loop_complement_masks(loop_complement_masks(fam, x, n), x, n) != fam:
+        if loop_complement_code(loop_complement_code(code, x, n), x, n) != code:
             flag("loop complement is not an involution")
             break
     # the odd-interval membership rule, read without the kernel
     x = subsets[0]
-    if _odd_interval_family(fam, x) != set(loop_complement_masks(fam, x, n)):
+    if _odd_interval_code(code, x) != loop_complement_code(code, x, n):
         flag("odd-interval membership rule disagrees")
     for dl, co in minor_pairs:
-        base = minor_masks(fam, dl, co)
+        base = minor_code(code, n, dl, co)
         ops_fwd = [(False, b) for b in iter_bits(dl)] + [(True, b) for b in iter_bits(co)]
         ops_rev = ops_fwd[::-1]
-        if _one_at_a_time(fam, ops_fwd) != base or _one_at_a_time(fam, ops_rev) != base:
+        if _one_at_a_time(code, n, ops_fwd) != base or _one_at_a_time(code, n, ops_rev) != base:
             flag("minor order dependence")
             break
-    parity = parity_masks(fam)
+    even = _is_even(code, n)
     for a in subsets:
-        if parity_masks(twist(a)) != parity:
+        if _is_even(twists[a], n) != even:
             flag("parity not twist-invariant")
             break
     if _deletion_minimum_failures(code, n):

@@ -20,6 +20,7 @@ from dmx.core import (
     layer_codes,
     loop_complement_masks,
     mask_of,
+    minor_masks,
     numbered_ground,
     validate_delta_matroid,
 )
@@ -243,14 +244,35 @@ def test_exchange_kernel_matches_reference_on_binary_twists():
 
 @pytest.mark.parametrize("n, count", [(6, 1000), (8, 200)])
 def test_random_corpus_unchanged_under_reference_check(monkeypatch, caplog, n, count):
+    """The generator's incremental test against the full reference scan of
+    F + {c}: the same members and the same rejection record."""
     caplog.set_level(logging.INFO, logger=verify.logger.name)
     fast = verify.random_delta_matroids(n, 1, count)
-    monkeypatch.setattr(verify, "exchange_violation_masks", _exchange_reference)
+    monkeypatch.setattr(
+        verify, "_exchange_holds_with", lambda fam, c: _exchange_reference(tuple(fam | {c})) is None
+    )
     slow = verify.random_delta_matroids(n, 1, count)
     assert [d.family for d in fast] == [d.family for d in slow]
     logs = [r.getMessage() for r in caplog.records if "random delta-matroid" in r.getMessage()]
     assert len(logs) == 2 and logs[0] == logs[1]
     assert "rejected=0" not in logs[0]
+
+
+def test_incremental_exchange_test_matches_the_scan_on_every_extension():
+    """Adding any c to a delta-matroid on at most four elements: accepted
+    exactly when the full scan of F + {c} finds no violation."""
+    accepted = rejected = 0
+    for n in range(5):
+        for code in verify.delta_matroids_exact(n):
+            fam = code_masks(code, n)
+            for c in range(1 << n):
+                if code >> c & 1:
+                    continue
+                holds = verify._exchange_holds_with(set(fam), c)
+                assert holds == (exchange_violation_masks(fam + (c,)) is None), (fam, c)
+                accepted += holds
+                rejected += not holds
+    assert accepted and rejected
 
 
 def _outcome(build, system):
@@ -504,6 +526,51 @@ def test_loop_complement_kernel_on_seeded_families(n):
         fam = tuple({rng.randrange(1 << n) for _ in range(rng.randint(1, 40))})
         for a in (rng.randrange(1 << n), rng.randrange(1 << n), g.full_mask):
             _assert_loop_complement_matches_reference(g, fam, a)
+
+
+def _assert_code_kernels_match_mask_kernels(code, n, minors, subsets):
+    fam = code_masks(code, n)
+    for delete, contract in minors:
+        got = core.minor_code(code, n, delete, contract)
+        assert got == mask_of(minor_masks(fam, delete, contract)), (code, n, delete, contract)
+    for a in subsets:
+        got = core.loop_complement_code(code, a, n)
+        assert got == mask_of(loop_complement_masks(fam, a, n)), (code, n, a)
+    assert core.dual_code(code, n) == mask_of(core.twist_masks(fam, (1 << n) - 1, n))
+
+
+def test_code_kernels_match_mask_kernels_on_every_small_code():
+    # every code, the empty one and non-delta-matroids included, so a minor
+    # meets empty sides and the loop/coloop rule on every element
+    for n in range(4):
+        minors = list(_disjoint_pairs(n))
+        for code in range(1 << (1 << n)):
+            _assert_code_kernels_match_mask_kernels(code, n, minors, range(1 << n))
+
+
+def test_code_kernels_match_mask_kernels_on_exhaustive_delta_matroids():
+    rng = random.Random("dmx-code-kernels-exact")
+    for n, code in verify.delta_matroids_up_to(4):
+        steps = [(1 << e, 0) for e in range(n)] + [(0, 1 << e) for e in range(n)]
+        pairs = []
+        for _ in range(3):
+            delete = rng.randrange(1 << n)
+            pairs.append((delete, rng.randrange(1 << n) & ~delete))
+        _assert_code_kernels_match_mask_kernels(code, n, steps + pairs, range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_code_kernels_match_mask_kernels_on_seeded_codes(n):
+    rng = random.Random("dmx-code-kernels-%d" % n)
+    for _ in range(60):
+        # sparse and dense codes
+        code = mask_of(rng.randrange(1 << n) for _ in range(rng.choice((2, 8, 1 << n))))
+        minors = []
+        for _ in range(6):
+            delete = rng.randrange(1 << n)
+            minors.append((delete, rng.randrange(1 << n) & ~delete))
+        subsets = [rng.randrange(1 << n) for _ in range(4)] + [(1 << n) - 1]
+        _assert_code_kernels_match_mask_kernels(code, n, minors, subsets)
 
 
 def test_delete_contract_conventions():
