@@ -210,12 +210,6 @@ def canonical_sorted(masks: Iterable[Mask], n: int) -> list[Mask]:
     return sorted(masks, key=family_sort_key)
 
 
-def parity_masks(family: Sequence[Mask]) -> str:
-    """EVEN when every set of a nonempty family has the parity of the first."""
-    p = family[0].bit_count() & 1
-    return EVEN if all(m.bit_count() & 1 == p for m in family) else ODD
-
-
 def twist_masks(family: Iterable[Mask], a: Mask, n: int) -> tuple[Mask, ...]:
     """The canonical family {F XOR a : F in family} on an n-element ground.
 
@@ -383,7 +377,8 @@ class SetSystem:
     def parity(self) -> str:
         if not self.family:
             raise ImproperSystemError("parity of an improper system is undefined")
-        return parity_masks(self.family)
+        p = self.family[0].bit_count() & 1
+        return EVEN if all(m.bit_count() & 1 == p for m in self.family) else ODD
 
     # -- twist / dual / loop complementation --------------------------------
 

@@ -240,6 +240,16 @@ def lower_code(code: int, n: int) -> int:
     raise ImproperSystemError("the lower matroid of an empty family is undefined")
 
 
+def upper_code(code: int, n: int) -> int:
+    """The bases of the upper matroid of a nonempty family on n elements, as
+    a code: the last nonzero layer of the family's code."""
+    for layer in reversed(layer_codes(n)):
+        high = code & layer
+        if high:
+            return high
+    raise ImproperSystemError("the upper matroid of an empty family is undefined")
+
+
 def classify_family(n: int, family: tuple[Mask, ...]) -> ClassificationReport:
     """classify_delta of a nonempty canonical family on n elements."""
     return _classification(n, mask_of(lower_bases(family)))

@@ -6,8 +6,8 @@ returns the violations of one instance, and for a one-directional result a
 recorded witness on which the converse fails.  One executor runs them all.
 An instance of an exhaustive corpus is a tuple (n, code) on the ground
 labelled 1..n, where the code has bit x set for each feasible set or base x,
-or (n, code, a) for a twist pair; a test builds masks only for the mask
-kernels it calls, and fmt_system renders an instance only when it fails.
+or (n, code, a) for a twist pair; a test reads the code with the code
+kernels, and fmt_system renders an instance only when it fails.
 Every generator is deterministic given its arguments; every check is
 deterministic given (max_n, seed).  With T shards, shard t tests the
 instances whose index is t modulo T, the shards run one after another, and
@@ -42,28 +42,22 @@ from .core import (
     iter_bits,
     layer_codes,
     loop_complement_code,
-    loop_complement_masks,
     mask_of,
     minor_code,
-    minor_masks,
     numbered_ground,
-    parity_masks,
     twist_code,
     twist_codes,
-    twist_masks,
 )
 from .gf2 import column_base_code, is_binary, nonsingular_code
 from .matroid import (
     Matroid,
     classify_code,
-    classify_family,
     classify_twists,
     is_bipartite_delta,
     is_eulerian_delta,
-    lower_bases,
     lower_code,
     lower_matroid,
-    upper_bases,
+    upper_code,
 )
 from .ribbon import RibbonEdge, RibbonGraph
 
@@ -537,7 +531,7 @@ def _lower_bound_failures(code: int, n: int, subsets: Iterable[Mask]) -> list[Ma
     if not code & ~closure_code(lower_code(code, n), n, up=True):
         return []
     fam = code_masks(code, n)
-    bases = lower_bases(fam)
+    bases = code_masks(lower_code(code, n), n)
     return [
         a
         for a in subsets
@@ -579,8 +573,8 @@ def _bipartite_loop_complement(item: tuple[int, int]) -> list[str]:
     """Binary even delta-matroid is bipartite iff its loop complementation on
     the whole ground set is even."""
     n, code = item
-    lc = loop_complement_masks(code_masks(code, n), (1 << n) - 1, n)
-    if classify_code(n, code).bipartite != (parity_masks(lc) == EVEN):
+    even = _is_even(loop_complement_code(code, (1 << n) - 1, n), n)
+    if classify_code(n, code).bipartite != even:
         return ["%s :: bipartite/loop-complement parity mismatch" % fmt_system(n, code)]
     return []
 
@@ -591,7 +585,7 @@ def _welsh_duality(item: tuple[int, int]) -> list[str]:
     n, code = item
     v = []
     eul = classify_code(n, code).eulerian
-    if eul != classify_family(n, twist_masks(code_masks(code, n), (1 << n) - 1, n)).bipartite:
+    if eul != classify_code(n, dual_code(code, n)).bipartite:
         v.append("%s :: eulerian/dual-bipartite mismatch" % fmt_system(n, code))
     if eul != bool(closure_code(code, n, up=False).bit_count() & 1):
         v.append("%s :: eulerian/independent-count parity mismatch" % fmt_system(n, code))
@@ -604,17 +598,19 @@ def _twist_decomposition(item: tuple[int, int, Mask]) -> list[str]:
     upper(M*A) = (M\\A) + (M/A^c)*.  Let S be the bases B meeting A most.
     The bases of M/A are B - A and those of M|A are B & A for B in S, so the
     lower sum has the bases (B1 - A) | (A - B2) for B1, B2 in S, in M's own
-    bit positions; the upper sum is read the same way off the bases meeting
-    A least."""
+    bit positions: the first nonzero layer of the code of M*A.  The upper sum
+    is read the same way off the bases meeting A least: the last layer."""
     n, code, a = item
     fam = code_masks(code, n)
-    twisted = twist_masks(fam, a, n)
+    twisted = code
+    for e in indices_of(a):
+        twisted = twist_code(twisted, e, n)
     meets = [(b & a).bit_count() for b in fam]
     v = []
-    for side, bases, extreme in (("lower", lower_bases, max), ("upper", upper_bases, min)):
+    for side, layer, extreme in (("lower", lower_code, max), ("upper", upper_code, min)):
         top = extreme(meets)
         s = [b for b, k in zip(fam, meets) if k == top]
-        if {b1 & ~a | a & ~b2 for b1 in s for b2 in s} != set(bases(twisted)):
+        if mask_of(b1 & ~a | a & ~b2 for b1 in s for b2 in s) != layer(twisted, n):
             v.append("%s * %s :: %s decomposition fails" % (fmt_system(n, code), fmt_set(a), side))
     return v
 
@@ -623,9 +619,8 @@ def _circuit_contraction(item: tuple[int, int]) -> list[str]:
     """Contracting an element outside a circuit of a binary matroid leaves the
     circuit a circuit or a disjoint union of exactly two circuits."""
     n, code = item
-    fam = code_masks(code, n)
     v = []
-    contracted = [classify_family(n - 1, minor_masks(fam, 0, 1 << e)).circuits for e in range(n)]
+    contracted = [classify_code(n - 1, minor_code(code, n, 0, 1 << e)).circuits for e in range(n)]
     for c in classify_code(n, code).circuits:
         for e, circuits in enumerate(contracted):
             if (c >> e) & 1:
@@ -893,7 +888,7 @@ def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
     bipartite = g.underlying_bipartite()
     if orientable and bipartite != g.petrial().is_orientable():
         v.append("%s :: petrial orientability criterion fails" % name)
-    if bipartite and not classify_family(n, twist_masks(d.family, (1 << n) - 1, n)).eulerian:
+    if bipartite and not is_eulerian_delta(d.dual()):
         v.append("%s :: bipartite graph with non-Eulerian dual" % name)
     return v
 

@@ -35,6 +35,8 @@ from dmx.matroid import (
     lower_bases,
     lower_code,
     lower_matroid,
+    upper_bases,
+    upper_code,
     upper_matroid,
 )
 from dmx.verify import binary_matroids_up_to, delta_matroids_up_to, random_delta_matroids
@@ -338,8 +340,9 @@ def test_classification_ignores_labels():
 
 
 def _assert_code_kernels_match_masks(n, family, classify=False):
-    """twist_codes and the layer read of the lower matroid against
-    twist_masks and lower_bases, for every twist of a canonical family."""
+    """twist_codes and the layer reads of the lower and upper matroids
+    against twist_masks, lower_bases and upper_bases, for every twist of a
+    canonical family."""
     codes = twist_codes(mask_of(family), n)
     assert len(codes) == 1 << n
     for e in range(n):
@@ -348,6 +351,7 @@ def _assert_code_kernels_match_masks(n, family, classify=False):
         twisted = twist_masks(family, a, n)
         assert code_masks(code, n) == twisted
         assert code_masks(lower_code(code, n), n) == lower_bases(twisted)
+        assert code_masks(upper_code(code, n), n) == upper_bases(twisted)
         if classify:
             assert classify_code(n, code) == classify_family(n, twisted)
 
@@ -381,6 +385,11 @@ def test_twist_tables_match_classified_twists():
 def test_lower_code_of_empty_code_is_an_error():
     with pytest.raises(ValueError, match="empty family"):
         lower_code(0, 3)
+
+
+def test_upper_code_of_empty_code_is_an_error():
+    with pytest.raises(ImproperSystemError, match="empty family"):
+        upper_code(0, 3)
 
 
 @pytest.mark.parametrize(

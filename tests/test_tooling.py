@@ -57,6 +57,24 @@ def test_library_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_library_has_no_unused_imports():
+    """Every name a `from ... import` binds in src/dmx is read in its module;
+    __init__.py is skipped, since it imports to re-export."""
+    unused = []
+    for path in sorted((ROOT / "src" / "dmx").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in read:
+                        unused.append((path.name, name))
+    assert unused == []
+
+
 def test_readme_library_names_resolve():
     """Every backticked `module.name` that README.md cites for a dmx module
     names an attribute of that module."""
