@@ -76,16 +76,6 @@ class Matroid(DeltaMatroid):
     def from_bases(cls, system: SetSystem) -> "Matroid":
         return certify_matroid(system)[0]
 
-    # -- independence ----------------------------------------------------------
-
-    @cached_property
-    def independent_sets(self) -> frozenset[Mask]:
-        """All subsets of bases."""
-        return frozenset(_independent_sets(self.family))
-
-    def count_independent_sets(self) -> int:
-        return len(self.independent_sets)
-
     @cached_property
     def circuits(self) -> tuple[Mask, ...]:
         """Inclusion-minimal dependent sets, in canonical order."""
@@ -133,18 +123,6 @@ def certify_matroid(system: SetSystem) -> tuple[Matroid, Optional[BinaryCertific
             % (system.render_set(x), system.render_set(y), system.ground.labels[u])
         ) from None
     return m, cert
-
-
-def _independent_sets(bases: tuple[Mask, ...]) -> set[Mask]:
-    ind: set[Mask] = set()
-    for b in bases:
-        s = b
-        while True:
-            ind.add(s)
-            if s == 0:
-                break
-            s = (s - 1) & b
-    return ind
 
 
 @dataclass(frozen=True)

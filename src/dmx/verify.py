@@ -7,7 +7,9 @@ recorded witness on which the converse fails.  One executor runs them all.
 An instance of an exhaustive corpus is a tuple (n, code) on the ground
 labelled 1..n, where the code has bit x set for each feasible set or base x,
 or (n, code, a) for a twist pair; a test reads the code with the code
-kernels, and fmt_system renders an instance only when it fails.
+kernels, and fmt_system renders an instance only when it fails.  Each
+exhaustive corpus is one named CORPORA row, and a check's SUITE row states
+its horizon: it tests the instances on at most min(max_n, horizon) elements.
 Every generator is deterministic given its arguments; every check is
 deterministic given (max_n, seed).  With T shards, shard t tests the
 instances whose index is t modulo T, the shards run one after another, and
@@ -128,9 +130,10 @@ class Witness(NamedTuple):
 @dataclass(frozen=True)
 class Check:
     """One identity: ``corpus(max_n, seed, **corpus_args)`` lists the
-    instances, ``test(instance)`` returns the violation details of one of
-    them, and a check with a witness passes only when the witness holds.
-    The witness is evaluated once per run, whatever the corpus."""
+    instances, ``_exhaustive(name, horizon)`` for an exhaustive corpus,
+    ``test(instance)`` returns the violation details of one of them, and a
+    check with a witness passes only when the witness holds.  The witness is
+    evaluated once per run, whatever the corpus."""
 
     name: str
     corpus: Callable[..., Sequence]
@@ -263,10 +266,6 @@ def delta_matroids_exact(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def delta_matroids_up_to(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((k, c) for k in range(n + 1) for c in delta_matroids_exact(k))
-
-
 @lru_cache(maxsize=None)
 def all_symmetric_matrices(n: int) -> tuple[tuple[int, ...], ...]:
     """The rows of every symmetric GF(2) matrix of order n."""
@@ -313,10 +312,6 @@ def binary_delta_corpus_exact(n: int) -> tuple[int, ...]:
     return tuple(sorted(out, key=lambda c: (c.bit_count(), code_masks(c, n))))
 
 
-def binary_delta_corpus_up_to(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((k, c) for k in range(n + 1) for c in binary_delta_corpus_exact(k))
-
-
 def _rref_matrices(n: int) -> list[list[int]]:
     """The columns of one matrix per row space of GF(2)^n, via reduced row
     echelon forms.
@@ -350,14 +345,6 @@ def binary_matroids_exact(n: int) -> tuple[int, ...]:
         raise ValueError("binary matroid generation is limited to 0 <= n <= 6")
     out = [column_base_code(cols) for cols in _rref_matrices(n)]
     return tuple(sorted(out, key=lambda c: (c.bit_count(), code_masks(c, n))))
-
-
-def binary_matroids_up_to(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((k, c) for k in range(n + 1) for c in binary_matroids_exact(k))
-
-
-def matroid_twist_pairs(n: int) -> tuple[tuple[int, int, Mask], ...]:
-    return tuple((k, c, a) for k, c in binary_matroids_up_to(n) for a in range(1 << k))
 
 
 def _exchange_holds_with(fam: set[Mask], c: Mask) -> bool:
@@ -486,11 +473,6 @@ def ribbon_corpus() -> tuple[tuple[str, RibbonGraph], ...]:
 # ---------------------------------------------------------------------------
 # identities: each test returns the violation details of one instance
 # ---------------------------------------------------------------------------
-
-
-def _capped(generate: Callable[[int], Sequence], cap: int) -> Callable[[int, int], Sequence]:
-    """The corpus generate(min(max_n, cap)); it does not depend on the seed."""
-    return lambda max_n, seed: generate(min(max_n, cap))
 
 
 @lru_cache(maxsize=None)
@@ -733,7 +715,7 @@ def _operation_calculus_corpus(
     """Every delta-matroid on at most min(max_n, 3) elements, tested on all
     subsets (key None), then seeded random ones on min(max_n + 3, 8)
     elements, each tested on a sample drawn from its own key."""
-    items = [(n, code, None) for n, code in delta_matroids_up_to(min(max_n, 3))]
+    items = [(n, code, None) for n, code in corpus("delta", min(max_n, 3))]
     sampled = random_delta_matroids(min(max_n + 3, 8), seed, random_count)
     return items + [
         (d.ground.size, mask_of(d.family), "dmx-opcalc-%d-%d" % (seed, len(items) + i))
@@ -898,14 +880,34 @@ def _ribbon_correspondence(item: tuple[str, RibbonGraph]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-_delta_corpus = _capped(delta_matroids_up_to, 4)
+# each row lists the instances on exactly k elements, (k, code) or
+# (k, code, a) for a twist pair; a row looks its generator up by name when it
+# is read, so a wrapper set on this module sees every call
+CORPORA: dict[str, Callable[[int], Sequence]] = {
+    "delta": lambda k: [(k, c) for c in delta_matroids_exact(k)],
+    "binary_delta": lambda k: [(k, c) for c in binary_delta_corpus_exact(k)],
+    "even_binary_delta": lambda k: [(k, c) for c in binary_delta_corpus_exact(k) if _is_even(c, k)],
+    "binary_matroids": lambda k: [(k, c) for c in binary_matroids_exact(k)],
+    "twist_pairs": lambda k: [(k, c, a) for c in binary_matroids_exact(k) for a in range(1 << k)],
+}
+
+
+def corpus(name: str, max_n: int) -> tuple:
+    """The instances of CORPORA[name] on 0, 1, ..., max_n elements, in turn."""
+    return tuple(item for k in range(max_n + 1) for item in CORPORA[name](k))
+
+
+def _exhaustive(name: str, horizon: int) -> Callable[[int, int], tuple]:
+    """corpus(name, min(max_n, horizon)), whatever the seed."""
+    return lambda max_n, seed: corpus(name, min(max_n, horizon))
+
 
 SUITE: dict[str, Check] = {
     c.name: c
     for c in (
         Check(
             "min_deletion",
-            _delta_corpus,
+            _exhaustive("delta", 4),
             _min_deletion,
             Witness(
                 CONTRACTION_WITNESS,
@@ -914,7 +916,7 @@ SUITE: dict[str, Check] = {
         ),
         Check(
             "odd_circuit",
-            _capped(binary_delta_corpus_up_to, 4),
+            _exhaustive("binary_delta", 4),
             _odd_circuit,
             Witness(
                 NONBINARY_WITNESS,
@@ -925,27 +927,25 @@ SUITE: dict[str, Check] = {
         ),
         Check(
             "bipartite_loop_complement",
-            lambda max_n, seed: [
-                (n, c) for n, c in binary_delta_corpus_up_to(min(max_n, 4)) if _is_even(c, n)
-            ],
+            _exhaustive("even_binary_delta", 4),
             _bipartite_loop_complement,
         ),
-        Check("welsh_duality", _capped(binary_matroids_up_to, 5), _welsh_duality),
-        Check("twist_decomposition", _capped(matroid_twist_pairs, 4), _twist_decomposition),
-        Check("circuit_contraction", _capped(binary_matroids_up_to, 5), _circuit_contraction),
+        Check("welsh_duality", _exhaustive("binary_matroids", 5), _welsh_duality),
+        Check("twist_decomposition", _exhaustive("twist_pairs", 4), _twist_decomposition),
+        Check("circuit_contraction", _exhaustive("binary_matroids", 5), _circuit_contraction),
         Check(
             "bipartite_dual_eulerian",
-            _capped(matroid_twist_pairs, 5),
+            _exhaustive("twist_pairs", 5),
             _bipartite_dual_eulerian,
             Witness(
                 CONVERSE_WITNESS_MATROID.twist(0b01),
                 lambda d: is_eulerian_delta(d.dual()) and not is_bipartite_delta(d),
             ),
         ),
-        Check("characterization", _capped(matroid_twist_pairs, 5), _characterization),
-        Check("deletion_bipartite", _delta_corpus, _deletion_bipartite),
-        Check("contraction_bipartite", _delta_corpus, _contraction_bipartite),
-        Check("lower_bound", _delta_corpus, _lower_bound),
+        Check("characterization", _exhaustive("twist_pairs", 5), _characterization),
+        Check("deletion_bipartite", _exhaustive("delta", 4), _deletion_bipartite),
+        Check("contraction_bipartite", _exhaustive("delta", 4), _contraction_bipartite),
+        Check("lower_bound", _exhaustive("delta", 4), _lower_bound),
         Check("operation_calculus", _operation_calculus_corpus, _operation_calculus),
         Check(
             "ribbon_correspondence",

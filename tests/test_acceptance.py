@@ -19,7 +19,7 @@ from dmx.matroid import (
     is_eulerian_delta,
     lower_matroid,
 )
-from dmx.verify import SUITE, binary_delta_corpus_up_to, render_text, ribbon_corpus
+from dmx.verify import SUITE, corpus, render_text, ribbon_corpus
 
 from test_core import systems_of
 from test_gf2 import _exhaustive_search
@@ -72,9 +72,9 @@ def test_criterion_1_explicit_witnesses():
 def test_criterion_2_bipartite_loop_complement_corpus():
     def body():
         start = time.perf_counter()
-        corpus = [d for d in systems_of(binary_delta_corpus_up_to(4)) if d.parity() == "even"]
-        assert len(corpus) > 100
-        for d in corpus:
+        evens = [d for d in systems_of(corpus("binary_delta", 4)) if d.parity() == "even"]
+        assert len(evens) > 100
+        for d in evens:
             bip = is_bipartite_delta(d)
             even = d.loop_complement(d.ground.full_mask).parity() == "even"
             assert bip == even, d
@@ -103,7 +103,7 @@ def test_criterion_4_odd_circuit_lemma():
         report = SUITE["odd_circuit"](max_n=4)
         assert report.verdict, render_text(report)
         assert report.witness is True  # non-binary witness fails the forward direction
-        assert report.tested == len(binary_delta_corpus_up_to(4))
+        assert report.tested == len(corpus("binary_delta", 4))
         _assert_fast(start, 60.0)
 
     _report(4, body)

@@ -374,7 +374,7 @@ def test_certificate_first_validation_matches_scan_on_exhaustive_corpora():
     survivors = _extension_survivors()
     invalid = [s for s in survivors if exchange_violation_masks(s.family) is not None]
     assert (len(survivors), len(invalid)) == (6239, 280)
-    binary = [system_of(n, c, SetSystem) for n, c in verify.binary_delta_corpus_up_to(4)]
+    binary = [system_of(n, c, SetSystem) for n, c in verify.corpus("binary_delta", 4)]
     assert _validation_mismatches(survivors + binary, exchange_violation_masks) == []
 
 
@@ -550,7 +550,7 @@ def test_code_kernels_match_mask_kernels_on_every_small_code():
 
 def test_code_kernels_match_mask_kernels_on_exhaustive_delta_matroids():
     rng = random.Random("dmx-code-kernels-exact")
-    for n, code in verify.delta_matroids_up_to(4):
+    for n, code in verify.corpus("delta", 4):
         steps = [(1 << e, 0) for e in range(n)] + [(0, 1 << e) for e in range(n)]
         pairs = []
         for _ in range(3):

@@ -23,7 +23,7 @@ from dmx.gf2 import (
     is_binary,
     nonsingular_code,
 )
-from dmx.verify import NONBINARY_WITNESS, all_symmetric_matrices, delta_matroids_up_to
+from dmx.verify import NONBINARY_WITNESS, all_symmetric_matrices, corpus
 from test_core import _random_symmetric, systems_of
 from test_properties import deterministic, symmetric_matrices
 
@@ -293,12 +293,12 @@ def test_every_symmetric_matrix_yields_delta_matroid():
 
 
 def test_shortcut_matches_exhaustive_search():
-    for d in systems_of(delta_matroids_up_to(3)):
+    for d in systems_of(corpus("delta", 3)):
         assert is_binary(d).verdict == (_exhaustive_search(d) is not None)
 
 
 def test_failure_witness_is_first_mismatch_in_reference_order():
-    for d in systems_of(delta_matroids_up_to(4)):
+    for d in systems_of(corpus("delta", 4)):
         cert = is_binary(d)
         expected = _reference_witness(d, cert.twist_set)
         assert cert.failure_witness == expected, d

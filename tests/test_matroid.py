@@ -9,6 +9,7 @@ from dmx.core import (
     SetSystem,
     canonical_masks,
     certify_delta_matroid,
+    closure_code,
     code_masks,
     iter_bits,
     mask_of,
@@ -23,7 +24,6 @@ from dmx.matroid import (
     Matroid,
     MatroidError,
     _classification,
-    _independent_sets,
     certify_matroid,
     classify_code,
     classify_delta,
@@ -39,7 +39,7 @@ from dmx.matroid import (
     upper_code,
     upper_matroid,
 )
-from dmx.verify import binary_matroids_up_to, delta_matroids_up_to, random_delta_matroids
+from dmx.verify import corpus, random_delta_matroids
 from test_core import systems_of
 
 
@@ -71,9 +71,10 @@ def test_from_bases_validation():
 
 def test_independent_sets_and_count():
     m = uniform(3, 2)
-    assert m.count_independent_sets() == 7  # everything except {1,2,3}
-    assert 0 in m.independent_sets
-    assert 0b111 not in m.independent_sets
+    independent = closure_code(mask_of(m.bases), 3, up=False)
+    assert independent.bit_count() == 7  # everything except {1,2,3}
+    assert independent & 1
+    assert not independent >> 0b111 & 1
 
 
 def test_circuits_canonical_order():
@@ -221,8 +222,8 @@ def reference_eulerian_partition(n, circuits):
 
 
 def classification_corpus():
-    yield from systems_of(binary_matroids_up_to(5), Matroid)
-    for d in systems_of(delta_matroids_up_to(4)):
+    yield from systems_of(corpus("binary_matroids", 5), Matroid)
+    for d in systems_of(corpus("delta", 4)):
         yield lower_matroid(d)
 
 
@@ -244,7 +245,7 @@ def test_cached_classification_matches_reference():
 def reference_scan_circuits(n, bases):
     """One scan of the subsets in canonical order: a dependent set is a
     circuit iff removing any one element leaves it independent."""
-    ind = _independent_sets(code_masks(bases, n))
+    ind = {s for b in code_masks(bases, n) for s in range(1 << n) if not s & ~b}
     return tuple(
         m
         for m in canonical_masks(n)
@@ -283,10 +284,10 @@ def _record_keys():
     corpora reach (binary matroids on <= 6 elements, lower matroids of
     DM(<= 4)), and of seeded column and uniform matroids on 7-12 elements."""
     small = [
-        d for d in systems_of(delta_matroids_up_to(3)) if len({m.bit_count() for m in d.family}) == 1
+        d for d in systems_of(corpus("delta", 3)) if len({m.bit_count() for m in d.family}) == 1
     ]
-    corpora = systems_of(binary_matroids_up_to(6), Matroid) + [
-        lower_matroid(d) for d in systems_of(delta_matroids_up_to(4))
+    corpora = systems_of(corpus("binary_matroids", 6), Matroid) + [
+        lower_matroid(d) for d in systems_of(corpus("delta", 4))
     ]
     rng = random.Random("dmx-classification-record")
     large = []
@@ -325,7 +326,7 @@ def test_classification_record_matches_reference_on_every_field():
 
 
 def test_delta_classification_matches_lower_matroid():
-    for d in systems_of(delta_matroids_up_to(4)):
+    for d in systems_of(corpus("delta", 4)):
         low = lower_matroid(d)
         assert is_bipartite_delta(d) == low.is_bipartite(), d
         assert is_eulerian_delta(d) == low.is_eulerian(), d
@@ -363,7 +364,7 @@ def test_code_kernels_match_masks_on_every_small_family(n):
 
 
 def test_code_kernels_match_masks_on_exhaustive_delta_matroids():
-    for n, code in delta_matroids_up_to(4):
+    for n, code in corpus("delta", 4):
         _assert_code_kernels_match_masks(n, code_masks(code, n), classify=True)
 
 
@@ -376,7 +377,7 @@ def test_twist_tables_match_classified_twists():
     """classify_twists(n, code)[a] against the classification of the twisted
     family, for every a, on DM(<= 3) and every binary matroid on <= 5
     elements."""
-    for n, code in delta_matroids_up_to(3) + binary_matroids_up_to(5):
+    for n, code in corpus("delta", 3) + corpus("binary_matroids", 5):
         family = code_masks(code, n)
         table = classify_twists(n, code)
         assert table == tuple(classify_family(n, twist_masks(family, a, n)) for a in range(1 << n))
@@ -410,7 +411,7 @@ def test_object_level_functions_reject_an_empty_family(fn):
 
 
 def test_certify_matroid_returns_the_delta_matroid_certificate():
-    for m in systems_of(binary_matroids_up_to(3), Matroid):
+    for m in systems_of(corpus("binary_matroids", 3), Matroid):
         got, cert = certify_matroid(m)
         assert type(got) is Matroid and got == m
         assert cert == certify_delta_matroid(m)[1]

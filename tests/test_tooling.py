@@ -34,6 +34,27 @@ def test_tracer_layer_targets_resolve(layer):
             assert target[2] in vars(getattr(mod, target[1])), target
 
 
+def test_corpora_read_the_generators_the_tracer_wraps(monkeypatch):
+    """The tracer swaps module attributes, so a corpus must look each
+    verify.gen.* generator up by name when it is built: one that captured a
+    function object would hide its calls from a traced run."""
+    names = [t[1] for layer, targets in TRACER["LAYERS"].items()
+             if layer.startswith("verify.gen.") for t in targets]
+    assert len(names) == 4
+    called = set()
+    for name in names:
+        original = getattr(verify, name)
+
+        def counted(*args, _name=name, _original=original):
+            called.add(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    for check in verify.SUITE.values():
+        check.corpus(5, 1)
+    assert called == set(names)
+
+
 def test_tracer_checks_are_suite_checks():
     assert [c for c in TRACER["CHECKS"] if c not in verify.SUITE] == []
 

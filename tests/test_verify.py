@@ -38,13 +38,10 @@ from dmx.verify import (
     SUITE,
     all_symmetric_matrices,
     binary_delta_corpus_exact,
-    binary_delta_corpus_up_to,
     binary_matroids_exact,
-    binary_matroids_up_to,
+    corpus,
     delta_matroids_exact,
-    delta_matroids_up_to,
     enumerate_delta_matroids,
-    matroid_twist_pairs,
     random_delta_matroids,
     render_record,
     render_text,
@@ -83,7 +80,7 @@ def test_exhaustive_counts():
     # the numbers of delta-matroids on 0..3 labelled elements; the corpora
     # themselves are compared with the brute-force reference below
     assert [len(delta_matroids_exact(n)) for n in range(4)] == [1, 3, 15, 155]
-    assert len(delta_matroids_up_to(2)) == 1 + 3 + 15
+    assert len(corpus("delta", 2)) == 1 + 3 + 15
 
 
 def _corpus_digest(corpus):
@@ -100,22 +97,22 @@ def _corpus_digest(corpus):
     "corpus, count, digest",
     [
         (
-            lambda: delta_matroids_up_to(4),
+            lambda: corpus("delta", 4),
             6133,
             "16d53bbcd05406b3811cf92552553c8e7d41867944cb287135d6ceddcf93d592",
         ),
         (
-            lambda: binary_delta_corpus_up_to(4),
+            lambda: corpus("binary_delta", 4),
             2449,
             "6c6f1bda02046dcb38b2114b10fd85eb3f688517b907ffa61c2b5cd65ce65d48",
         ),
         (
-            lambda: binary_matroids_up_to(5),
+            lambda: corpus("binary_matroids", 5),
             465,
             "ff1c88a5a7d2ed5f814579b06aefc385242be14ae4782700f526948b02c96870",
         ),
         (
-            lambda: binary_matroids_up_to(6),
+            lambda: corpus("binary_matroids", 6),
             3290,
             "2e4935619e4d69e322564e495833f5c4d6c1f120c4b9eb75f243f7282630e807",
         ),
@@ -230,9 +227,8 @@ def test_binary_matroids_one_per_row_space():
 
 
 def test_matroid_twist_pairs_shape():
-    pairs = matroid_twist_pairs(2)
-    assert all(0 <= a < 1 << n for n, code, a in pairs)
-    assert len(pairs) > len(binary_matroids_exact(2))
+    pairs = corpus("twist_pairs", 2)
+    assert pairs == tuple((n, c, a) for n, c in corpus("binary_matroids", 2) for a in range(1 << n))
 
 
 def test_random_generator_is_seeded_and_valid():
@@ -354,6 +350,43 @@ def test_every_check_passes_at_small_size():
     assert [r.name for r in reports] == list(SUITE)
     for r in reports:
         assert r.verdict, render_text(r)
+
+
+_DELTA_TESTED = (1, 4, 19, 174, 6133, 6133, 6133)
+_MATROID_TESTED = (1, 3, 8, 24, 91, 465, 465)
+_TWIST_TESTED = (1, 5, 25, 153, 1225, 13193, 13193)
+HORIZON_TESTED = {
+    "min_deletion": _DELTA_TESTED,
+    "odd_circuit": (1, 4, 19, 154, 2449, 2449, 2449),
+    "bipartite_loop_complement": (1, 3, 9, 39, 309, 309, 309),
+    "welsh_duality": _MATROID_TESTED,
+    "twist_decomposition": (1, 5, 25, 153, 1225, 1225, 1225),
+    "circuit_contraction": _MATROID_TESTED,
+    "bipartite_dual_eulerian": _TWIST_TESTED,
+    "characterization": _TWIST_TESTED,
+    "deletion_bipartite": _DELTA_TESTED,
+    "contraction_bipartite": _DELTA_TESTED,
+    "lower_bound": _DELTA_TESTED,
+    "operation_calculus": (201, 204, 219, 374, 374, 374, 374),
+    "ribbon_correspondence": (13,) * 7,
+}
+
+
+def test_check_horizons_are_pinned():
+    """The instances each check tests at --max-n 0..6: a count that stops
+    growing marks the check's horizon, and none grows past 5."""
+    assert list(HORIZON_TESTED) == list(SUITE)
+    for name, tested in HORIZON_TESTED.items():
+        assert tuple(SUITE[name](max_n=m, seed=3).tested for m in range(7)) == tested, name
+
+
+def test_corpora_rows_count_their_instances():
+    """The instances on exactly k elements of the two rows no other test
+    counts, for every k up to the horizon of the checks reading them."""
+    even = [len(verify.CORPORA["even_binary_delta"](k)) for k in range(5)]
+    assert even == [1, 2, 6, 30, 270]
+    pairs = [len(verify.CORPORA["twist_pairs"](k)) for k in range(6)]
+    assert pairs == [1, 4, 20, 128, 1072, 11968]
 
 
 def test_suite_is_the_only_check_declaration():
@@ -483,12 +516,12 @@ def _violations(test, corpus):
 
 
 def test_mask_checks_match_label_references():
-    deltas = binary_delta_corpus_up_to(4) + delta_matroids_up_to(4)
+    deltas = corpus("binary_delta", 4) + corpus("delta", 4)
     assert len(deltas) == 2449 + 6133
     got = [verify._qualifying_circuit(n, code) for n, code in deltas]
     assert got == [_qualifying_circuit_reference(_delta(item)) for item in deltas]
     assert 0 < sum(got) < len(got)
-    matroids = binary_matroids_up_to(5)
+    matroids = corpus("binary_matroids", 5)
     assert _violations(verify._circuit_contraction, matroids) == []
     assert _violations(_circuit_contraction_reference, matroids) == []
 
@@ -497,7 +530,7 @@ def test_mask_checks_match_label_references():
     "patch, check, reference, corpus, failing",
     [
         (lambda mp: _patch_upper_mutant(mp, matroid, verify), "_odd_circuit",
-         _odd_circuit_reference, lambda: binary_delta_corpus_up_to(4), 2140),
+         _odd_circuit_reference, lambda: corpus("binary_delta", 4), 2140),
     ],
     ids=["odd_circuit"],
 )
@@ -648,18 +681,18 @@ def test_operation_calculus_helpers_match_object_references(monkeypatch, n, coun
 
 
 _OBJECT_CASES = [
-    ("_min_deletion", _min_deletion_reference, lambda: delta_matroids_up_to(4), 1000, 1025),
+    ("_min_deletion", _min_deletion_reference, lambda: corpus("delta", 4), 1000, 1025),
     ("_deletion_bipartite", _deletion_bipartite_reference,
-     lambda: delta_matroids_up_to(4), 1000, 1967),
+     lambda: corpus("delta", 4), 1000, 1967),
     ("_contraction_bipartite", _contraction_bipartite_reference,
-     lambda: delta_matroids_up_to(4), 1000, 4149),
-    ("_lower_bound", _lower_bound_reference, lambda: delta_matroids_up_to(4), 1000, 12796),
+     lambda: corpus("delta", 4), 1000, 4149),
+    ("_lower_bound", _lower_bound_reference, lambda: corpus("delta", 4), 1000, 12796),
     ("_characterization", _characterization_reference,
-     lambda: matroid_twist_pairs(5), 2000, 1099),
+     lambda: corpus("twist_pairs", 5), 2000, 1099),
     ("_bipartite_dual_eulerian", _bipartite_dual_eulerian_reference,
-     lambda: matroid_twist_pairs(5), 2000, 561),
+     lambda: corpus("twist_pairs", 5), 2000, 561),
     ("_twist_decomposition", _twist_decomposition_reference,
-     lambda: matroid_twist_pairs(5), 2000, 1327),
+     lambda: corpus("twist_pairs", 5), 2000, 1327),
 ]
 OBJECT_REFERENCES = pytest.mark.parametrize(
     "check, reference, corpus, sample, failing",
@@ -707,7 +740,7 @@ def test_contraction_codes_match_minor_classification():
     classification of minor_masks(F, {}, A), for every A, on DM(<= 4) and on
     seeded random delta-matroids on 8 elements."""
     sampled = [(8, mask_of(d.family)) for d in random_delta_matroids(8, 29, 20)]
-    for n, code in delta_matroids_up_to(4) + tuple(sampled):
+    for n, code in corpus("delta", 4) + tuple(sampled):
         family = code_masks(code, n)
         for a in range(1 << n):
             contracted = classify_family(n - a.bit_count(), minor_masks(family, 0, a))
@@ -718,7 +751,7 @@ def test_restriction_codes_match_minor_classification():
     """Bit A of the restriction codes of M and of M* (the records' odd_holders
     and circuit_unions) against the classes of M \\ A^c and M* \\ A, built
     as minors, on all 13,193 twist pairs."""
-    pairs = matroid_twist_pairs(5)
+    pairs = corpus("twist_pairs", 5)
     assert len(pairs) == 13193
     for n, code, a in pairs:
         full = (1 << n) - 1
@@ -918,7 +951,8 @@ def _welsh_duality_reference(item):
     eul = m.is_eulerian()
     if eul != m.dual().is_bipartite():
         v.append("%s :: eulerian/dual-bipartite mismatch" % _render(m))
-    if eul != bool(m.count_independent_sets() & 1):
+    independent = [s for s in range(1 << m.ground.size) if any(not s & ~b for b in m.bases)]
+    if eul != bool(len(independent) & 1):
         v.append("%s :: eulerian/independent-count parity mismatch" % _render(m))
     return v
 
@@ -930,16 +964,12 @@ def _bipartite_loop_complement_reference(item):
     return []
 
 
-def _bipartite_loop_complement_corpus():
-    return SUITE["bipartite_loop_complement"].corpus(4, 0)
-
-
 @pytest.mark.parametrize(
     "check, reference, corpus",
     [
-        ("_welsh_duality", _welsh_duality_reference, lambda: binary_matroids_up_to(5)),
+        ("_welsh_duality", _welsh_duality_reference, lambda: corpus("binary_matroids", 5)),
         ("_bipartite_loop_complement", _bipartite_loop_complement_reference,
-         _bipartite_loop_complement_corpus),
+         lambda: corpus("even_binary_delta", 4)),
     ],
     ids=["welsh_duality", "bipartite_loop_complement"],
 )
@@ -964,11 +994,11 @@ def _undualized_code(code, n):
     "check, reference, corpus, name, mutant, failing",
     [
         ("_circuit_contraction", _circuit_contraction_reference,
-         lambda: binary_matroids_up_to(5), "minor_code", _off_by_one_contraction_code, 889),
-        ("_welsh_duality", _welsh_duality_reference, lambda: binary_matroids_up_to(5),
+         lambda: corpus("binary_matroids", 5), "minor_code", _off_by_one_contraction_code, 889),
+        ("_welsh_duality", _welsh_duality_reference, lambda: corpus("binary_matroids", 5),
          "dual_code", _undualized_code, 170),
         ("_bipartite_loop_complement", _bipartite_loop_complement_reference,
-         _bipartite_loop_complement_corpus, "loop_complement_code",
+         lambda: corpus("even_binary_delta", 4), "loop_complement_code",
          _lowest_only_loop_complement_code, 58),
     ],
     ids=["circuit_contraction", "welsh_duality", "bipartite_loop_complement"],
@@ -1058,7 +1088,7 @@ def test_enumerate_exhaustive_counts_are_pinned(n, counts):
 def test_fmt_system_matches_object_rendering():
     """fmt_system and fmt_set print the bytes of the object rendering on
     every member of DM(<= 3), the empty ground included."""
-    instances = delta_matroids_up_to(3)
+    instances = corpus("delta", 3)
     assert len(instances) == 174
     for n, code in instances:
         d = system_of(n, code)
