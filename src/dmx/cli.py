@@ -121,9 +121,10 @@ def _parse_set(labels: Sequence[str], spec: str, kind: str) -> Mask:
     mask = 0
     for lab in spec.split(",") if spec else ():
         lab = lab.strip()
-        if lab not in labels:
-            raise CliError("--set: unknown %s label %r" % (kind, lab))
-        mask |= 1 << labels.index(lab)
+        bit = 1 << labels.index(lab) if lab in labels else 0
+        if not bit or mask & bit:
+            raise CliError("--set: %s %s label %r" % ("repeated" if bit else "unknown", kind, lab))
+        mask |= bit
     return mask
 
 

@@ -155,20 +155,16 @@ def loop_complement_code(code: int, a: Mask, n: int) -> int:
     return code
 
 
-def minor_code(code: int, n: int, delete: Mask, contract: Mask) -> int:
-    """minor_masks on the code of a family on n elements: the code of the
-    minor on the n - |delete | contract| remaining elements.
+def cut_code(code: int, n: int, delete: Mask, contract: Mask) -> int:
+    """minor_masks on the code of a family on n elements, the removed
+    elements left in place, in no set: a code on the same n elements.
 
     Highest element first, the wanted side of e is kept with e cleared from
     its sets: the sets without e are code & M_e and those with e are
     (code >> 2^e) & M_e, M_e the code of the sets without e.  An empty side
-    keeps the other one, the loop/coloop rule.  The kept index bits are then
-    packed down once: the kept elements above the lowest removed one move,
-    lowest first, to consecutive positions from that one's, each with one
-    masked shift; the positions a move passes are clear in every set."""
+    keeps the other one, the loop/coloop rule."""
     keeps = bit_clear_codes(n)
-    removed = delete | contract
-    rest = removed
+    rest = delete | contract
     while rest:
         e = rest.bit_length() - 1
         bit = 1 << e
@@ -178,12 +174,21 @@ def minor_code(code: int, n: int, delete: Mask, contract: Mask) -> int:
             code = (code >> bit) & keep or code & keep
         else:
             code = code & keep or (code >> bit) & keep
+    return code
+
+
+def minor_code(code: int, n: int, delete: Mask, contract: Mask) -> int:
+    """The code of the minor on the n - |delete | contract| remaining
+    elements: cut_code, with the kept index bits then packed down once.  The
+    kept elements above the lowest removed one move, lowest first, to
+    consecutive positions from that one's, each with one masked shift; the
+    positions a move passes are clear in every set."""
+    code = cut_code(code, n, delete, contract)
+    keeps = bit_clear_codes(n)
+    removed = delete | contract
     low = removed & -removed
     to = low.bit_length() - 1
-    kept = ~removed & ((1 << n) - 1) & -low
-    while kept:
-        kb = kept & -kept
-        kept ^= kb
+    for kb in iter_bits(~removed & ((1 << n) - 1) & -low):
         stay = code & keeps[kb.bit_length() - 1]
         code = stay | (code ^ stay) >> (kb - (1 << to))
         to += 1

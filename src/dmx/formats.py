@@ -57,7 +57,7 @@ def parse_dm(text: str) -> DmFile:
     kind = DELTA_KIND
     ground: Optional[GroundSet] = None
     bit_of: dict[str, int] = {}  # ground label -> its mask bit
-    masks: list[int] = []
+    masks: dict[int, int] = {}  # feasible set mask -> its line
     for lineno, raw, line in _content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'key: value'", lineno, 1)
@@ -71,12 +71,11 @@ def parse_dm(text: str) -> DmFile:
         elif key == "ground":
             if ground is not None:
                 raise ParseError("duplicate ground line", lineno, 1)
-            labels = value.split()
-            for lab in labels:
+            for lab in value.split():
                 if lab in bit_of:
                     raise ParseError("duplicate ground label %r" % lab, lineno)
                 bit_of[_label(lab, lineno)] = 1 << len(bit_of)
-            ground = GroundSet(tuple(labels))
+            ground = GroundSet(tuple(bit_of))
         elif key == "feasible":
             if ground is None:
                 raise ParseError("feasible line before ground line", lineno, 1)
@@ -95,7 +94,9 @@ def parse_dm(text: str) -> DmFile:
                         raise ParseError(what % lab, lineno, col + piece.index(lab))
                     mask |= bit
                     col += len(piece) + 1
-            masks.append(mask)
+            if mask in masks:
+                raise ParseError("repeated feasible set (first on line %d)" % masks[mask], lineno, 1)
+            masks[mask] = lineno
         else:
             raise ParseError("unknown key %r" % key, lineno, 1)
     if ground is None:

@@ -6,15 +6,15 @@ returns the violations of one instance, and for a one-directional result a
 recorded witness on which the converse fails.  One executor runs them all.
 An instance of an exhaustive corpus is a tuple (n, code) on the ground
 labelled 1..n, where the code has bit x set for each feasible set or base x,
-or (n, code, a) for a twist pair; a test reads the code with the code
-kernels, and fmt_system renders an instance only when it fails.  Each
-exhaustive corpus is one named CORPORA row, and a check's SUITE row states
-its horizon: it tests the instances on at most min(max_n, horizon) elements.
-Every generator is deterministic given its arguments; every check is
-deterministic given (max_n, seed).  With T shards, shard t tests the
-instances whose index is t modulo T, the shards run one after another, and
-the counterexamples are reported in (instance index, detail) order, so the
-report is the same for every T.
+or (n, code, a) for a twist pair.  A test reads the code with the code
+kernels, which remove elements by one rule, core.cut_code; only lower_bound
+decodes a code into masks, and fmt_system renders an instance only when it
+fails.  Each exhaustive corpus is one named CORPORA row, and a check's SUITE
+row states its horizon: the instances on at most min(max_n, horizon)
+elements.  Every generator is deterministic given its arguments, every check
+given (max_n, seed).  With T shards, shard t tests the instances whose index
+is t modulo T, the shards run in turn, and the counterexamples are reported
+in (instance index, detail) order, so the report is the same for every T.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .core import (
     canonical_masks,
     closure_code,
     code_masks,
+    cut_code,
     dual_code,
     exchange_violation_masks,
     indices_of,
@@ -491,15 +492,12 @@ def _deletion_minimum_failures(code: int, n: int) -> list[int]:
     """The non-coloop elements e with lower(D \\ e) != lower(D) \\ e.
 
     Both sides are compared as codes on the ground of D, e kept in place:
-    the sets of D \\ e are the code's sets without e.  A coloop e of the
-    lower matroid is contracted instead, so its bases lose e, which moves
-    them 2^e bit positions down."""
+    the sets of D \\ e are the code's sets without e."""
     cmin = lower_code(code, n)
     return [
         e
         for e, keep in enumerate(bit_clear_codes(n))
-        if code & keep
-        and lower_code(code & keep, n) != (cmin & keep or (cmin >> (1 << e)) & keep)
+        if code & keep and lower_code(code & keep, n) != cut_code(cmin, n, 1 << e, 0)
     ]
 
 
@@ -533,12 +531,9 @@ def _min_deletion(item: tuple[int, int]) -> list[str]:
 
 def _qualifying_circuit(n: int, code: int) -> bool:
     """Some circuit C of the lower matroid is feasible in D restricted to C,
-    i.e. the restriction's code has the bit of its full ground set."""
+    i.e. the restriction's code, cut in place, has bit C."""
     full = (1 << n) - 1
-    return any(
-        minor_code(code, n, full ^ c, 0) >> ((1 << c.bit_count()) - 1) & 1
-        for c in classify_code(n, code).circuits
-    )
+    return any(cut_code(code, n, full ^ c, 0) >> c & 1 for c in classify_code(n, code).circuits)
 
 
 def _odd_circuit(item: tuple[int, int]) -> list[str]:
@@ -577,22 +572,22 @@ def _welsh_duality(item: tuple[int, int]) -> list[str]:
 def _twist_decomposition(item: tuple[int, int, Mask]) -> list[str]:
     """Lower and upper matroids of a twisted matroid decompose as direct sums
     of minors of the matroid and its dual: lower(M*A) = (M/A) + (M|A)* and
-    upper(M*A) = (M\\A) + (M/A^c)*.  Let S be the bases B meeting A most.
-    The bases of M/A are B - A and those of M|A are B & A for B in S, so the
-    lower sum has the bases (B1 - A) | (A - B2) for B1, B2 in S, in M's own
-    bit positions: the first nonzero layer of the code of M*A.  The upper sum
-    is read the same way off the bases meeting A least: the last layer."""
+    upper(M*A) = (M\\A) + (M/A^c)*.  The minors are cut in place on the
+    ground of M, so each sum has one part with sets p outside A and one with
+    sets x inside A.  The dual of the latter is its twist by A, with the sets
+    A - x, and the sum has the sets p | (A - x), each bit p of the first
+    code shifted by A - x."""
     n, code, a = item
-    fam = code_masks(code, n)
+    rest = ((1 << n) - 1) ^ a
     twisted = code
     for e in indices_of(a):
         twisted = twist_code(twisted, e, n)
-    meets = [(b & a).bit_count() for b in fam]
     v = []
-    for side, layer, extreme in (("lower", lower_code, max), ("upper", upper_code, min)):
-        top = extreme(meets)
-        s = [b for b, k in zip(fam, meets) if k == top]
-        if mask_of(b1 & ~a | a & ~b2 for b1 in s for b2 in s) != layer(twisted, n):
+    for side, layer, outside, inside in (
+        ("lower", lower_code, cut_code(code, n, 0, a), cut_code(code, n, rest, 0)),
+        ("upper", upper_code, cut_code(code, n, a, 0), cut_code(code, n, 0, rest)),
+    ):
+        if reduce(or_, (outside << (a ^ x) for x in indices_of(inside)), 0) != layer(twisted, n):
             v.append("%s * %s :: %s decomposition fails" % (fmt_system(n, code), fmt_set(a), side))
     return v
 
@@ -670,13 +665,10 @@ def _deletion_bipartite(item: tuple[int, int]) -> list[str]:
 
 def _contraction_is_bipartite(code: int, a: Mask, n: int) -> bool:
     """Whether D / A is bipartite, for the delta-matroid D with this code on
-    n elements.  A is contracted on the code, an element no set holds is
-    deleted, and A joins every set: its elements become coloops of the lower
-    matroid, in no circuit, so the bipartite class is that of D / A."""
-    for e, keep in enumerate(bit_clear_codes(n)):
-        if a >> e & 1 and code & ~keep:
-            code = (code & ~keep) >> (1 << e)
-    return classify_code(n, code << a).bipartite
+    n elements.  A is cut from the code, then joins every set: its elements
+    become coloops of the lower matroid, in no circuit, so the bipartite
+    class is that of D / A."""
+    return classify_code(n, cut_code(code, n, 0, a) << a).bipartite
 
 
 def _contraction_bipartite(item: tuple[int, int]) -> list[str]:
@@ -764,9 +756,10 @@ def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
     lower bound.
 
     Every identity is checked on 2^n-bit codes, through the code kernels
-    twist_codes, twist_code, dual_code, minor_code and loop_complement_code;
-    a minor shares its ground labels whatever the order of its steps, so
-    equal codes mean equal set systems.  The twists come from one table,
+    twist_codes, twist_code, dual_code, cut_code, minor_code and
+    loop_complement_code; a minor shares its ground labels whatever the order
+    of its steps, so equal codes, or equal cuts by one removal, mean equal
+    set systems.  The twists come from one table,
     built by doubling lowest element first; the group law applies b to a
     twist one butterfly per element, highest first, and the dual involution
     reads the table's dual backwards.  Parity is _is_even of the codes, and
@@ -808,10 +801,10 @@ def _operation_calculus(item: tuple[int, int, Optional[str]]) -> list[str]:
         flag("dual is not an involution")
     for e in range(n):
         bit = 1 << e
-        if minor_code(code, n, 0, bit) != minor_code(twists[bit], n, bit, 0):
+        if cut_code(code, n, 0, bit) != cut_code(twists[bit], n, bit, 0):
             flag("D/e != (D*e)\\e at %d" % (e + 1))
             break
-        if minor_code(code, n, bit, 0) != minor_code(twists[bit], n, 0, bit):
+        if cut_code(code, n, bit, 0) != cut_code(twists[bit], n, 0, bit):
             flag("D\\e != (D*e)/e at %d" % (e + 1))
             break
     for x in subsets:

@@ -264,6 +264,29 @@ def test_op_rejects_unknown_label(files):
     assert code == 2 and "unknown ground label" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name, kind, label",
+    [
+        (("op", "twist", "--set", "1,1"), "d.dm", "ground", "1"),
+        (("op", "lc", "--set", "1, 2,2"), "d.dm", "ground", "2"),
+        (("ribbon", "petrial", "--set", "2,1,2"), "g.rg", "edge", "2"),
+    ],
+    ids=["op_twist", "op_lc", "ribbon_petrial"],
+)
+def test_set_rejects_a_repeated_label(files, argv, name, kind, label):
+    code, out, err = run(*argv, files[name])
+    assert (code, out) == (2, "")
+    assert err == "error: --set: repeated %s label %r\n" % (kind, label)
+
+
+def test_check_rejects_a_repeated_feasible_set(tmp_path):
+    path = tmp_path / "repeat.dm"
+    path.write_text("ground: a\nfeasible: {a}\nfeasible: { a }\n")
+    code, out, err = run("check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: line 3, col 1: repeated feasible set (first on line 2)\n" % path
+
+
 def test_op_dual_rejects_set(files):
     code, _, err = run("op", "dual", "--set", "1", files["d.dm"])
     assert code == 2

@@ -528,11 +528,26 @@ def test_loop_complement_kernel_on_seeded_families(n):
             _assert_loop_complement_matches_reference(g, fam, a)
 
 
+def _spread(mask, kept):
+    """A mask on the elements a minor keeps, moved back to their positions
+    kept[0] < kept[1] < ... on the ground they were cut from."""
+    return mask_of(kept[i] for i in indices_of(mask))
+
+
+def _pack(mask, kept):
+    """The inverse of _spread: a mask on the positions kept, renumbered."""
+    return mask_of(i for i, k in enumerate(kept) if mask >> k & 1)
+
+
 def _assert_code_kernels_match_mask_kernels(code, n, minors, subsets):
     fam = code_masks(code, n)
     for delete, contract in minors:
+        want = minor_masks(fam, delete, contract)
+        kept = [k for k in range(n) if not (delete | contract) >> k & 1]
+        cut = core.cut_code(code, n, delete, contract)
+        assert cut == mask_of(_spread(m, kept) for m in want), (code, n, delete, contract)
         got = core.minor_code(code, n, delete, contract)
-        assert got == mask_of(minor_masks(fam, delete, contract)), (code, n, delete, contract)
+        assert got == mask_of(want) == mask_of(_pack(x, kept) for x in indices_of(cut))
     for a in subsets:
         got = core.loop_complement_code(code, a, n)
         assert got == mask_of(loop_complement_masks(fam, a, n)), (code, n, a)

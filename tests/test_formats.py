@@ -78,6 +78,20 @@ def test_dm_label_columns_point_into_the_set():
     assert "repeated" in str(e.value) and e.value.column == 15
 
 
+def test_dm_repeated_feasible_set_is_an_error():
+    # the same set however it is spaced or ordered, named by both its lines
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: a b\nfeasible: {a}\nfeasible: { a }\n")
+    assert (e.value.line, e.value.column) == (3, 1)
+    assert str(e.value) == "line 3, col 1: repeated feasible set (first on line 2)"
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: a b\nfeasible: {a,b}\n# {b,a}\nfeasible: {}\nfeasible: {b, a}\n")
+    assert e.value.line == 5 and "(first on line 2)" in str(e.value)
+    with pytest.raises(ParseError) as e:
+        parse_dm("ground: a\nfeasible: {}\nfeasible: { }\n")
+    assert e.value.line == 3
+
+
 def test_parse_gf2_symmetric():
     m = parse_gf2("gf2sym 2\n01\n10\n")
     assert isinstance(m, Gf2SymmetricMatrix)

@@ -15,12 +15,15 @@ from dmx.core import (
     SetSystem,
     bit_clear_codes,
     code_masks,
+    cut_code,
     exchange_violation_masks,
+    indices_of,
     loop_complement_code,
     mask_of,
     minor_code,
     minor_masks,
     numbered_ground,
+    twist_code,
     twist_masks,
 )
 from dmx.gf2 import Gf2SymmetricMatrix, delta_matroid_from_symmetric
@@ -29,7 +32,9 @@ from dmx.matroid import (
     classify_family,
     is_bipartite_delta,
     is_eulerian_delta,
+    lower_code,
     lower_matroid,
+    upper_code,
     upper_matroid,
 )
 from dmx.ribbon import RibbonGraph
@@ -462,8 +467,9 @@ def test_broken_lower_matroid_fails_identically_across_shards(monkeypatch):
 # The label-set versions of two checks, kept as references for the code
 # versions in dmx.verify.  Their lower matroids and circuits go through
 # dmx.matroid, so an upper mutant patched there and into dmx.verify reaches
-# both; their contractions are SetSystem methods on the mask kernels, so a
-# mutant of minor_code reaches only the code version.
+# both; their restrictions and contractions are SetSystem methods on the
+# mask kernels, so a mutant of cut_code or minor_code reaches only the code
+# version.
 
 
 def _labeled_family(s):
@@ -650,6 +656,31 @@ def _twist_decomposition_reference(item):
     return v
 
 
+def _twist_decomposition_s_sum_reference(item):
+    """The decomposition read off the decoded bases of M.  Let S be the
+    bases B meeting A most.  The bases of M/A are B - A and those of M|A are
+    B & A for B in S, so the lower sum has the bases (B1 - A) | (A - B2) for
+    B1, B2 in S, in M's own bit positions: the first nonzero layer of the
+    code of M*A.  The upper sum is read the same way off the bases meeting A
+    least: the last layer."""
+    n, code, a = item
+    fam = code_masks(code, n)
+    twisted = code
+    for e in indices_of(a):
+        twisted = twist_code(twisted, e, n)
+    meets = [(b & a).bit_count() for b in fam]
+    v = []
+    for side, layer, extreme in (("lower", lower_code, max), ("upper", upper_code, min)):
+        top = extreme(meets)
+        s = [b for b, k in zip(fam, meets) if k == top]
+        if mask_of(b1 & ~a | a & ~b2 for b1 in s for b2 in s) != layer(twisted, n):
+            v.append(
+                "%s * %s :: %s decomposition fails"
+                % (verify.fmt_system(n, code), verify.fmt_set(a), side)
+            )
+    return v
+
+
 @pytest.mark.parametrize("mutant", [False, True], ids=["lower", "upper_mutant"])
 @pytest.mark.parametrize("n, count", [(5, 200), (6, 150), (8, 60)])
 def test_operation_calculus_helpers_match_object_references(monkeypatch, n, count, mutant):
@@ -720,6 +751,34 @@ def test_twist_decomposition_matches_object_reference_on_six_elements():
     pairs = _six_element_twist_pairs()
     got = _violations(verify._twist_decomposition, pairs)
     assert got == _violations(_twist_decomposition_reference, pairs) == []
+    assert _violations(_twist_decomposition_s_sum_reference, pairs) == []
+
+
+def test_twist_decomposition_matches_s_sum_reference():
+    """The cut-kernel check against the sums over decoded bases, on all
+    13,193 twist pairs with n <= 5 (the object reference is compared on
+    them above)."""
+    pairs = corpus("twist_pairs", 5)
+    got = _violations(verify._twist_decomposition, pairs)
+    assert got == _violations(_twist_decomposition_s_sum_reference, pairs) == []
+
+
+def test_twist_decomposition_catches_swapped_sides(monkeypatch):
+    """lower_code and upper_code swapped in dmx.verify: the check flags every
+    pair whose twist has distinct lower and upper matroids, at pinned
+    counts, and neither reference, which reads them from dmx.matroid, finds
+    anything on the flagged pairs."""
+    monkeypatch.setattr(verify, "lower_code", matroid.upper_code)
+    monkeypatch.setattr(verify, "upper_code", matroid.lower_code)
+    counts = []
+    for max_n in (4, 5):
+        pairs = corpus("twist_pairs", max_n)
+        got = _violations(verify._twist_decomposition, pairs)
+        flagged = [pairs[i] for i in sorted({i for i, _ in got})]
+        assert _violations(_twist_decomposition_s_sum_reference, flagged) == []
+        assert _violations(_twist_decomposition_reference, flagged) == []
+        counts.append(len(flagged))
+    assert counts == [570, 8850]
 
 
 @pytest.mark.parametrize(
@@ -863,7 +922,8 @@ def _operation_calculus_reference(item):
         if twist(a).parity() != d.parity():
             flag("parity not twist-invariant")
             break
-    if verify._deletion_minimum_failures(code, n):
+    dmin = lower_matroid(d)
+    if any(not d.is_coloop(e) and lower_matroid(d.delete(e)) != dmin.delete(e) for e in range(n)):
         flag("deletion/minimum identity fails")
     if verify._lower_bound_failures(code, n, subsets):
         flag("intersection lower bound fails")
@@ -984,6 +1044,13 @@ def _off_by_one_contraction_code(code, n, delete, contract):
     return minor_code(code, n, delete, contract >> 1 or contract)
 
 
+def _swapped_cut_code(code, n, delete, contract):
+    """Mutant of cut_code: deletes what it is asked to contract and
+    contracts what it is asked to delete.  minor_code calls it in dmx.core,
+    so every code-level minor swaps its sides."""
+    return cut_code(code, n, contract, delete)
+
+
 def _undualized_code(code, n):
     """Mutant of dual_code: returns its input, so the dual of a matroid is
     the matroid itself."""
@@ -1000,8 +1067,27 @@ def _undualized_code(code, n):
         ("_bipartite_loop_complement", _bipartite_loop_complement_reference,
          lambda: corpus("even_binary_delta", 4), "loop_complement_code",
          _lowest_only_loop_complement_code, 58),
+        ("_min_deletion", _min_deletion_reference, lambda: corpus("delta", 4),
+         "cut_code", _swapped_cut_code, 6441),
+        ("_odd_circuit", _odd_circuit_reference, lambda: corpus("binary_delta", 4),
+         "cut_code", _swapped_cut_code, 471),
+        ("_twist_decomposition", _twist_decomposition_reference,
+         lambda: corpus("twist_pairs", 4), "cut_code", _swapped_cut_code, 1140),
+        ("_contraction_bipartite", _contraction_bipartite_reference,
+         lambda: corpus("delta", 4), "cut_code", _swapped_cut_code, 14120),
+        ("_operation_calculus", _operation_calculus_reference,
+         lambda: verify._operation_calculus_corpus(5, 3), "cut_code", _swapped_cut_code, 102),
     ],
-    ids=["circuit_contraction", "welsh_duality", "bipartite_loop_complement"],
+    ids=[
+        "circuit_contraction",
+        "welsh_duality",
+        "bipartite_loop_complement",
+        "swapped_cut_min_deletion",
+        "swapped_cut_odd_circuit",
+        "swapped_cut_twist_decomposition",
+        "swapped_cut_contraction_bipartite",
+        "swapped_cut_operation_calculus",
+    ],
 )
 def test_checks_match_object_references_under_code_mutants(
     monkeypatch, check, reference, corpus, name, mutant, failing
